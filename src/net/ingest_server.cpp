@@ -95,10 +95,8 @@ UdpIngestServer::AgentEntry& UdpIngestServer::intern_agent(const UdpEndpoint& fr
 
 void UdpIngestServer::handle_datagram(const std::uint8_t* data, std::size_t len,
                                       const UdpEndpoint& from) {
-  datagrams_received_.fetch_add(1, std::memory_order_relaxed);
   bytes_received_.fetch_add(len, std::memory_order_relaxed);
   AgentEntry& agent = intern_agent(from);
-  agent.datagrams.fetch_add(1, std::memory_order_relaxed);
   agent.bytes.fetch_add(len, std::memory_order_relaxed);
 
   // Header validation: the only wire trust boundary. Anything that fails
@@ -167,7 +165,6 @@ void UdpIngestServer::handle_datagram(const std::uint8_t* data, std::size_t len,
 
 NetIngestStats UdpIngestServer::stats() const {
   NetIngestStats s;
-  s.datagrams_received = datagrams_received_.load(std::memory_order_relaxed);
   s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   s.records_seen = records_seen_.load(std::memory_order_relaxed);
   s.malformed_short_header = malformed_short_header_.load(std::memory_order_relaxed);
@@ -177,6 +174,7 @@ NetIngestStats UdpIngestServer::stats() const {
   s.offered = offered_.load(std::memory_order_relaxed);
   s.offer_rejected = offer_rejected_.load(std::memory_order_relaxed);
   s.agents = agent_store_.size();
+  s.datagrams_received = s.quarantined() + s.admission_drops + s.offered;
   return s;
 }
 
@@ -188,13 +186,13 @@ std::vector<AgentAccount> UdpIngestServer::agent_accounts() const {
     const AgentEntry& e = *agent_store_[i];
     AgentAccount a;
     a.endpoint = e.endpoint;
-    a.datagrams = e.datagrams.load(std::memory_order_relaxed);
     a.records = e.records.load(std::memory_order_relaxed);
     a.bytes = e.bytes.load(std::memory_order_relaxed);
     a.quarantined = e.quarantined.load(std::memory_order_relaxed);
     a.admission_drops = e.admission_drops.load(std::memory_order_relaxed);
     a.accepted = e.accepted.load(std::memory_order_relaxed);
     a.queue_drops = e.queue_drops.load(std::memory_order_relaxed);
+    a.datagrams = a.quarantined + a.admission_drops + a.accepted + a.queue_drops;
     accounts.push_back(a);
   }
   return accounts;

@@ -13,13 +13,14 @@
 //                          ▼ offer (optionally through a CaptureTap)
 //                         IngestQueue ──> ... existing pipeline, unchanged
 //
-// Everything the server refuses is counted exactly once, so ingest
-// conservation extends to the wire:
+// Every datagram ends in exactly one outcome and "received" is derived as
+// their sum, so ingest conservation holds on the wire in every snapshot:
 //   datagrams_received = quarantined (by reason) + admission_drops + offered
-// and `offered` then splits downstream into the pipeline's
-// accepted/dropped/rejected_closed. What the kernel dropped before we read
-// the socket is invisible here by nature — senders must count their side
-// (the soak bench does).
+// (per agent: datagrams = quarantined + admission_drops + accepted + queue_drops),
+// and `offered` splits downstream into the pipeline's accepted/dropped/rejected_closed.
+// Only once stop() returns: Σ per-agent datagrams = datagrams_received, and
+// offered = what the offer edge took. What the kernel dropped before we read
+// the socket is invisible here by nature — senders count their side (the soak bench does).
 #pragma once
 
 #include <atomic>
@@ -70,7 +71,7 @@ struct UdpIngestServerConfig {
 
 // Aggregate server counters (all monotone; readable while running).
 struct NetIngestStats {
-  std::uint64_t datagrams_received = 0;
+  std::uint64_t datagrams_received = 0;  // derived: quarantined() + admission_drops + offered
   std::uint64_t bytes_received = 0;
   std::uint64_t records_seen = 0;  // peeked from valid headers' set framing
   std::uint64_t malformed_short_header = 0;
@@ -89,7 +90,7 @@ struct NetIngestStats {
 // One source endpoint's accounting snapshot.
 struct AgentAccount {
   UdpEndpoint endpoint;
-  std::uint64_t datagrams = 0;
+  std::uint64_t datagrams = 0;  // derived: sum of the four outcomes below
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;
   std::uint64_t quarantined = 0;
@@ -127,9 +128,9 @@ class UdpIngestServer {
 
   NetIngestStats stats() const;
 
-  // Wait-free snapshot of the per-agent table (SnapshotStore-published
-  // entries; counters are relaxed atomics, so a snapshot taken mid-burst is
-  // per-counter consistent, not cross-counter atomic).
+  // Wait-free snapshot of the per-agent table (SnapshotStore-published,
+  // relaxed counters). Each account's datagrams = its outcomes' sum in every
+  // snapshot; Σ datagrams = stats().datagrams_received only after stop().
   std::vector<AgentAccount> agent_accounts() const;
 
   // Fold the net-layer counters into a pipeline stats snapshot (the
@@ -142,7 +143,6 @@ class UdpIngestServer {
   struct AgentEntry {
     std::uint64_t key = 0;
     UdpEndpoint endpoint;
-    std::atomic<std::uint64_t> datagrams{0};
     std::atomic<std::uint64_t> records{0};
     std::atomic<std::uint64_t> bytes{0};
     std::atomic<std::uint64_t> quarantined{0};
@@ -175,8 +175,9 @@ class UdpIngestServer {
   Mutex intern_mutex_;
 
   // Aggregate counters (relaxed; every datagram lands in exactly one of
-  // quarantined / admission_drops / offered).
-  std::atomic<std::uint64_t> datagrams_received_{0};
+  // quarantined / admission_drops / offered, and stats() derives received as
+  // their sum). offered_ is bumped before offer_() returns and the per-agent
+  // accepted/queue_drops after it, so those agree only once stop() returns.
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> records_seen_{0};
   std::atomic<std::uint64_t> malformed_short_header_{0};

@@ -137,8 +137,8 @@ struct PipelineStats {
   std::uint64_t tracker_dropped_epochs = 0;
   // Network front-end (see net/ingest_server.h): zero unless a
   // UdpIngestServer feeds this pipeline and its stats were folded in via
-  // UdpIngestServer::fold_into. Wire-level conservation:
-  // net_datagrams_received = net_malformed_* + net_admission_drops + offered.
+  // UdpIngestServer::fold_into. Received counts a datagram once its outcome
+  // is decided, as the sum net_malformed_* + net_admission_drops + offered.
   std::uint64_t net_datagrams_received = 0;
   std::uint64_t net_malformed_short_header = 0;
   std::uint64_t net_malformed_bad_version = 0;
