@@ -20,10 +20,8 @@ double flow_term(std::int64_t bad, std::int64_t width, double s) {
 }
 
 PosteriorModel::PosteriorModel(const flock::InferenceInput& input,
-                               const flock::FlockParams& params,
-                               const std::vector<double>* prior_logodds)
+                               const flock::FlockParams& params)
     : input_(&input), params_(params), n_comps_(input.topology().num_components()) {
-  if (prior_logodds != nullptr) carryover_ = *prior_logodds;
   const double log_bad = std::log(params.p_b / params.p_g);
   const double log_good = std::log((1.0 - params.p_b) / (1.0 - params.p_g));
   for (const flock::FlowObservation& o : input.expanded_flows()) {
@@ -80,12 +78,7 @@ double PosteriorModel::log_prior(const std::vector<ComponentId>& hypothesis) con
   double total = 0.0;
   for (ComponentId c : hypothesis) {
     const double base = std::log(params_.rho / (1.0 - params_.rho));
-    double cost = topo.is_device_component(c) ? base * params_.device_prior_scale : base;
-    if (!carryover_.empty()) {
-      const double boost = carryover_.at(static_cast<std::size_t>(c));
-      if (boost > 0.0) cost += std::min(boost, -0.95 * cost);
-    }
-    total += cost;
+    total += topo.is_device_component(c) ? base * params_.device_prior_scale : base;
   }
   return total;
 }

@@ -20,12 +20,10 @@ namespace flockbench {
 // with s = r·log(p_b/p_g) + (t−r)·log((1−p_b)/(1−p_g)), w the flow's ECMP
 // width (1 for a known path) and b the candidate paths H makes bad; a failed
 // access link makes all w bad. prior(c) = log(rho/(1−rho)), scaled by
-// device_prior_scale for devices, shrunk by a non-negative carryover log-odds
-// but never past 5% of its size.
+// device_prior_scale for devices.
 class PosteriorModel {
  public:
-  PosteriorModel(const flock::InferenceInput& input, const flock::FlockParams& params,
-                 const std::vector<double>* prior_logodds = nullptr);
+  PosteriorModel(const flock::InferenceInput& input, const flock::FlockParams& params);
 
   std::int32_t num_components() const { return n_comps_; }
   double log_likelihood(const std::vector<flock::ComponentId>& hypothesis) const;
@@ -44,7 +42,6 @@ class PosteriorModel {
   };
   const flock::InferenceInput* input_;
   flock::FlockParams params_;
-  std::vector<double> carryover_;
   std::int32_t n_comps_ = 0;
   std::vector<Obs> obs_;
 };

@@ -48,58 +48,27 @@ inline flock::DropRateConfig fault_rates() {
   return rates;
 }
 
-// One stream workload: the §5 service fed interval by interval.
-struct StreamConfig {
-  bool fat_tree = false;      // true: make_fat_tree(fat_tree_k); false: default_clos()
-  std::int32_t fat_tree_k = 12;
-  std::int32_t pool_size = 8;  // distinct simulated intervals, offered cyclically
-  std::int64_t app_flows = 20000;  // application flows per interval (paths stripped)
-  bool churn_schedule = false;     // false: two persistent faulty links
-  bool alternate_skew = false;     // odd pool intervals draw skewed racks
-  bool replay_input = false;       // feed through replay_dgram_log from a capture
-  double prior_weight = 0.0;       // tracker carryover prior
-  // Share of --seconds spent in the interval phase; the rest is capacity.
-  double interval_share = 0.65;
-  std::int32_t min_intervals = 100;  // p90 needs ten samples beyond it
-  std::int32_t check_every = 16;     // sync cross-check every n-th interval
-};
-
-// stream_steady: the largest Fig 4d fabric (fat-tree k=12: 432 hosts, 1296
-// links) with the A1 probe mesh plus passive records, two persistent faults.
-inline StreamConfig steady_config() {
-  StreamConfig c;
-  c.fat_tree = true;
-  c.fat_tree_k = 12;
-  c.pool_size = 16;
-  c.app_flows = 30000;
-  return c;
-}
-
-// stream_churn: the default Clos, smaller intervals, alternating traffic,
-// a fail/recover schedule, carryover prior on, input replayed from a capture.
-inline StreamConfig churn_config() {
-  StreamConfig c;
-  c.fat_tree = false;
-  c.pool_size = 16;
-  c.app_flows = 16000;
-  c.churn_schedule = true;
-  c.alternate_skew = true;
-  c.replay_input = true;
-  c.prior_weight = 1.0;
-  return c;
-}
+// stream_steady: the §5 service on the largest Fig 4d fabric (fat-tree k=12:
+// 432 hosts, 1296 links), fed interval by interval. Each pool interval is the
+// A1 probe mesh plus passive application records (paths stripped), with the
+// same two persistent faulty links; the pool is offered cyclically.
+constexpr std::int32_t kFatTreeK = 12;
+constexpr std::int32_t kPoolSize = 16;       // distinct simulated intervals
+constexpr std::int64_t kAppFlows = 30000;    // application flows per interval
+constexpr std::int32_t kFaultyLinks = 2;
+// A round is one pass over the pool with one interval in flight, then
+// kAheadPasses passes with the producer running ahead. At least kMinRounds
+// rounds run (80 one-in-flight intervals), however slow the machine.
+constexpr std::int32_t kAheadPasses = 2;
+constexpr std::int32_t kMinRounds = 5;
 
 // repro_calibrate: §5.2 calibration on a training environment, evaluation of
 // each chosen point on a test environment, both on the default Clos.
-struct ReproConfig {
-  std::int32_t train_traces = 4;
-  std::int32_t test_traces = 48;
-  std::int64_t app_flows = 8000;
-  std::int32_t min_failures = 1;
-  std::int32_t max_failures = 4;
-};
-
-inline ReproConfig repro_config() { return ReproConfig{}; }
+constexpr std::int32_t kTrainTraces = 4;
+constexpr std::int32_t kTestTraces = 48;
+constexpr std::int64_t kReproAppFlows = 8000;  // application flows per trace
+constexpr std::int32_t kMinFailures = 1;       // silent link drops per trace
+constexpr std::int32_t kMaxFailures = 4;
 
 inline flock::ParamGrid flock_grid() {
   flock::ParamGrid grid;
@@ -122,7 +91,7 @@ inline flock::ParamGrid zero07_grid() {
   return grid;
 }
 
-// Grids of the traced run's offline-layer pass on stream workloads: one
+// Grids of the traced run's offline-layer pass on stream_steady: one
 // call of each calibration on two intervals, not a search.
 inline flock::ParamGrid tiny_flock_grid() {
   flock::ParamGrid grid;

@@ -1,6 +1,6 @@
 // flockbench: the repository's benchmark driver.
 //
-//   flockbench --workload <stream_steady|stream_churn|repro_calibrate>
+//   flockbench --workload <stream_steady|repro_calibrate>
 //              --seed <n> --seconds <s> --trace <0|1> [--out <dir>]
 //
 // --trace 0 prints the end-to-end metrics, --trace 1 the per-layer ones (and
@@ -44,7 +44,7 @@ const std::vector<std::string> kPerLayer = {
 
 int usage(const char* why) {
   std::cerr << "flockbench: " << why
-            << "\nusage: flockbench --workload <stream_steady|stream_churn|repro_calibrate> "
+            << "\nusage: flockbench --workload <stream_steady|repro_calibrate> "
                "--seed <n> --seconds <s> --trace <0|1> [--out <dir>]\n";
   return 2;
 }
@@ -82,9 +82,7 @@ int main(int argc, char** argv) {
   WorkloadResult r;
   try {
     if (workload == "stream_steady") {
-      r = run_stream(steady_config(), seed, seconds, trace, start_ns, tracer);
-    } else if (workload == "stream_churn") {
-      r = run_stream(churn_config(), seed, seconds, trace, start_ns, tracer);
+      r = run_stream(seed, seconds, trace, start_ns, tracer);
     } else if (workload == "repro_calibrate") {
       r = run_repro(seed, seconds, trace, start_ns, tracer);
     } else {

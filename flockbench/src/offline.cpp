@@ -192,14 +192,14 @@ std::string check_evaluation(const std::vector<Scheme>& schemes, const Cycle& cy
   return {};
 }
 
-flock::EnvConfig env_config(const ReproConfig& rc, std::int32_t traces, std::uint64_t seed) {
+flock::EnvConfig env_config(std::int32_t traces, std::uint64_t seed) {
   flock::EnvConfig c;
   c.clos = default_clos();
   c.num_traces = traces;
   c.failure = flock::FailureKind::kSilentLinkDrops;
-  c.min_failures = rc.min_failures;
-  c.max_failures = rc.max_failures;
-  c.traffic.num_app_flows = rc.app_flows;
+  c.min_failures = kMinFailures;
+  c.max_failures = kMaxFailures;
+  c.traffic.num_app_flows = kReproAppFlows;
   c.seed = seed;
   return c;
 }
@@ -216,7 +216,7 @@ std::string stream_layers(std::unique_ptr<flock::ExperimentEnv> env, std::uint64
   }
   env->router->build_all_tor_pairs();
   StreamInputs in;
-  in.pipeline = service_config(0.0);
+  in.pipeline = service_config();
   in.env = std::move(env);
   for (std::size_t t = 0; t < in.env->traces.size(); ++t) {
     Interval iv = encode_interval(*in.env->topo, in.env->traces[t], t,
@@ -225,14 +225,14 @@ std::string stream_layers(std::unique_ptr<flock::ExperimentEnv> env, std::uint64
     in.pool.push_back(std::move(iv));
   }
   Tracer off(false);
-  const IntervalRun base = run_intervals(in, 2 * in.pool.size(), 0.0, 0, 1, off);
-  const IntervalRun run = run_intervals(in, 2 * in.pool.size(), 0.0, 0, 1, tracer);
+  const IntervalRun base = run_rounds(in, 2, 0.0, 0, off);
+  const IntervalRun run = run_rounds(in, 2, 0.0, 0, tracer);
   std::string err = check_conservation(run.records, run.latency_s.size(), run.stats, run.epochs);
   if (err.empty() && run.diagnoses != base.diagnoses) err = "traced diagnoses differ";
   SyncReplayer replayer(in, run.shard_of);
   for (std::size_t i = 0; i < run.latency_s.size() && err.empty(); ++i) {
-    const SyncInterval sync = replayer.replay(in.pool[run.pool_index[i]], i, nullptr, tracer,
-                                              false, seed_for(seed, 9000 + i));
+    const SyncInterval sync =
+        replayer.replay(in.pool[run.pool_index[i]], i, tracer, false, seed_for(seed, 9000 + i));
     if (!sync.check_error.empty()) err = sync.check_error;
     else if (sync.merged != run.diagnoses[i]) err = "merged diagnosis differs from the sync path";
     overhead_ms.push_back((base.latency_s[i] - sync.critical_path_s) * 1e3);
@@ -296,23 +296,24 @@ std::string offline_layers(flock::ExperimentEnv& env, Tracer& tracer) {
 WorkloadResult run_repro(std::uint64_t seed, double seconds, bool trace, std::int64_t start_ns,
                          Tracer& tracer) {
   WorkloadResult r;
-  const ReproConfig rc = repro_config();
   std::unique_ptr<flock::ExperimentEnv> train;
   std::unique_ptr<flock::ExperimentEnv> test;
   {
     Tracer::Scope span(tracer, "flowsim.simulate");
-    train = flock::make_env(env_config(rc, rc.train_traces, seed_for(seed, 1)));
+    train = flock::make_env(env_config(kTrainTraces, seed_for(seed, 1)));
   }
   {
     Tracer::Scope span(tracer, "flowsim.simulate");
-    test = flock::make_env(env_config(rc, rc.test_traces, seed_for(seed, 2)));
+    test = flock::make_env(env_config(kTestTraces, seed_for(seed, 2)));
   }
   const double setup_s = seconds_between(start_ns, now_ns());
   const std::vector<Scheme> schemes = repro_schemes();
   Tracer off(false);
 
   // Each cycle: the timed calibrate+evaluate region, then the benchmark's
-  // own evaluation loop (checks, and per-trace diagnosis latency).
+  // own evaluation loop (checks, and per-trace diagnosis latency). The
+  // traced run makes three: an untraced warm-up, an untraced one and a
+  // traced one, whose wall times give the cost of tracing.
   std::vector<Cycle> cycles;
   std::vector<double> dedup;
   std::vector<double> latency_ms;
@@ -320,7 +321,7 @@ WorkloadResult run_repro(std::uint64_t seed, double seconds, bool trace, std::in
   std::string err;
   const std::int64_t begin = now_ns();
   do {
-    Tracer& t = trace && !cycles.empty() ? tracer : off;
+    Tracer& t = trace && cycles.size() == 2 ? tracer : off;
     cycles.push_back(run_cycle(schemes, *train, *test, t));
     const Cycle& c = cycles.back();
     if (err.empty() && !same_cycle(c, cycles.front())) err = "calibration cycles disagree";
@@ -334,7 +335,7 @@ WorkloadResult run_repro(std::uint64_t seed, double seconds, bool trace, std::in
                              latency_ms);
     }
     if (cycles.size() == 1) observations = evaluated;
-  } while (trace ? cycles.size() < 2 : seconds_between(begin, now_ns()) < seconds);
+  } while (trace ? cycles.size() < 3 : seconds_between(begin, now_ns()) < seconds);
   r.attempted = cycles.size() * schemes.size();
 
   // Observations the sweep localizes: every grid point over every training
@@ -366,7 +367,7 @@ WorkloadResult run_repro(std::uint64_t seed, double seconds, bool trace, std::in
     add_layer_metrics(tracer, r.metrics);
     if (!overhead_ms.empty()) r.metrics["pipeline.overhead_ms"] = {median(overhead_ms), "ms"};
     if (!dedup.empty()) r.metrics["core.dedup_ratio"] = {median(dedup), "rows/obs"};
-    r.metrics["trace.overhead_s"] = {cycles[1].wall_s - cycles[0].wall_s, "s"};
+    r.metrics["trace.overhead_s"] = {cycles[2].wall_s - cycles[1].wall_s, "s"};
   }
   if (!err.empty()) {
     r.correct = false;

@@ -1,5 +1,5 @@
 // The offline reproduction harness: §5.2 calibration and evaluation
-// (repro_calibrate), and the offline-layer pass of the stream workloads'
+// (repro_calibrate), and the offline-layer pass of stream_steady's
 // traced runs.
 #pragma once
 

@@ -4,7 +4,6 @@
 #include <istream>
 #include <sstream>
 #include <streambuf>
-#include <thread>
 
 #include "checks.h"
 #include "common/rng.h"
@@ -31,70 +30,25 @@ class StringViewBuf : public std::streambuf {
   }
 };
 
-// Which of the drawn faulty links fail in pool interval i of the churn
-// schedule: link k fails for intervals 1+2k .. 3+2k, so each incident
-// overlaps the next by one interval, and the fabric is healthy for intervals
-// 14, 15 and 0. The pool repeats, so every link fails and recovers on each
-// pass.
-constexpr std::size_t kChurnLinks = 6;
-
-std::vector<std::size_t> churn_active(std::size_t i) {
-  std::vector<std::size_t> active;
-  for (std::size_t k = 0; k < kChurnLinks; ++k) {
-    if (i >= 1 + 2 * k && i < 4 + 2 * k) active.push_back(k);
+// Offers one interval's datagrams from memory.
+void feed(flock::StreamingPipeline& pipeline, const Interval& iv, Tracer& tracer,
+          std::int64_t id) {
+  for (const flock::IngestDatagram& d : iv.datagrams) {
+    const std::int32_t span = tracer.begin("pipeline.offer", id);
+    pipeline.offer_wait(d);
+    tracer.end(span);
   }
-  return active;
-}
-
-flock::GroundTruth compose_truth(const flock::GroundTruth& healthy,
-                                 const flock::GroundTruth& faulty,
-                                 const std::vector<std::size_t>& active) {
-  flock::GroundTruth truth;
-  truth.link_drop_rate = healthy.link_drop_rate;
-  for (std::size_t a : active) {
-    const ComponentId link = faulty.failed.at(a);
-    truth.link_drop_rate.at(static_cast<std::size_t>(link)) =
-        faulty.link_drop_rate.at(static_cast<std::size_t>(link));
-    truth.failed.push_back(link);
-  }
-  std::sort(truth.failed.begin(), truth.failed.end());
-  return truth;
-}
-
-// Offers one interval's datagrams, from memory or by replaying its capture.
-std::uint64_t feed(flock::StreamingPipeline& pipeline, const Interval& iv, bool replay,
-                   Tracer& tracer, std::int64_t id) {
-  std::uint64_t accepted = 0;
-  if (!replay) {
-    for (const flock::IngestDatagram& d : iv.datagrams) {
-      const std::int32_t span = tracer.begin("pipeline.offer", id);
-      accepted += pipeline.offer_wait(d) ? 1 : 0;
-      tracer.end(span);
-    }
-    return accepted;
-  }
-  StringViewBuf buf(iv.capture);
-  std::istream is(&buf);
-  const flock::ReplayStats stats =
-      flock::replay_dgram_log(is, [&](flock::IngestDatagram d) {
-        const std::int32_t span = tracer.begin("pipeline.offer", id);
-        const bool ok = pipeline.offer_wait(std::move(d));
-        tracer.end(span);
-        return ok;
-      });
-  return stats.accepted;
 }
 
 }  // namespace
 
-flock::PipelineConfig service_config(double prior_weight) {
+flock::PipelineConfig service_config() {
   flock::PipelineConfig config;
   config.num_shards = kShards;
   config.localizer_threads = kLocalizerThreads;
   config.localize_threads = kLocalizeThreads;
   config.localizer.params = service_params();
   config.localizer.localize_threads = kLocalizeThreads;
-  config.temporal.prior_weight = prior_weight;
   return config;
 }
 
@@ -157,15 +111,11 @@ std::uint64_t read_capture(const std::string& capture, Tracer& tracer, std::int6
   return bytes;
 }
 
-StreamInputs build_stream_inputs(const StreamConfig& config, std::uint64_t seed, Tracer& tracer,
-                                 bool capture_all) {
+StreamInputs build_stream_inputs(std::uint64_t seed, Tracer& tracer, bool capture) {
   StreamInputs in;
-  in.replay_input = config.replay_input;
-  in.pipeline = service_config(config.prior_weight);
+  in.pipeline = service_config();
   in.env = std::make_unique<flock::ExperimentEnv>();
-  in.env->topo = std::make_unique<flock::Topology>(
-      config.fat_tree ? flock::make_fat_tree(config.fat_tree_k)
-                      : flock::make_three_tier_clos(default_clos()));
+  in.env->topo = std::make_unique<flock::Topology>(flock::make_fat_tree(kFatTreeK));
   const flock::Topology& topo = *in.env->topo;
   in.env->router = std::make_unique<flock::EcmpRouter>(topo);
   {
@@ -176,26 +126,21 @@ StreamInputs build_stream_inputs(const StreamConfig& config, std::uint64_t seed,
 
   flock::Rng rng(seed_for(seed, 1));
   const flock::DropRateConfig rates = fault_rates();
-  const flock::GroundTruth healthy = flock::make_healthy(topo, rates, rng);
-  const flock::GroundTruth faulty =
-      flock::make_silent_link_drops(topo, config.churn_schedule ? kChurnLinks : 2, rates, rng);
-  for (std::int32_t i = 0; i < config.pool_size; ++i) {
+  const flock::GroundTruth faulty = flock::make_silent_link_drops(topo, kFaultyLinks, rates, rng);
+  for (std::int32_t i = 0; i < kPoolSize; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    flock::GroundTruth truth =
-        config.churn_schedule ? compose_truth(healthy, faulty, churn_active(idx)) : faulty;
     flock::TrafficConfig traffic;
-    traffic.num_app_flows = config.app_flows;
-    traffic.skewed = config.alternate_skew && i % 2 == 1;
+    traffic.num_app_flows = kAppFlows;
     flock::ProbeConfig probes;  // the A1 mesh: every host to every core, every path
     flock::Rng trace_rng(seed_for(seed, 100 + idx));
     {
       Tracer::Scope span(tracer, "flowsim.simulate");
-      in.env->traces.push_back(flock::simulate(topo, *in.env->router, std::move(truth),
-                                               traffic, probes, trace_rng));
+      in.env->traces.push_back(
+          flock::simulate(topo, *in.env->router, faulty, traffic, probes, trace_rng));
     }
     Interval iv = encode_interval(topo, in.env->traces.back(), idx,
                                   1700000000u + 10u * static_cast<std::uint32_t>(i), tracer);
-    if (config.replay_input || capture_all) capture_interval(iv, tracer);
+    if (capture) capture_interval(iv, tracer);
     in.pool.push_back(std::move(iv));
   }
   return in;
@@ -205,81 +150,73 @@ const std::vector<ComponentId>& interval_truth(const StreamInputs& in, const Int
   return in.env->traces.at(iv.trace).truth.failed;
 }
 
-IntervalRun run_intervals(StreamInputs& in, std::size_t count, double seconds,
-                          std::size_t min_intervals, std::size_t check_every, Tracer& tracer) {
+IntervalRun run_rounds(StreamInputs& in, std::size_t rounds, double seconds,
+                       std::size_t ahead_passes, Tracer& tracer) {
   IntervalRun out;
-  const flock::Topology& topo = *in.env->topo;
-  const auto n_comps = static_cast<std::size_t>(topo.num_components());
-  const bool prior_on = in.pipeline.temporal.prior_weight > 0.0;
-  flock::StreamingPipeline pipeline(topo, *in.env->router, in.pipeline);
+  flock::StreamingPipeline pipeline(*in.env->topo, *in.env->router, in.pipeline);
   for (const Interval& iv : in.pool) {
     for (const flock::IngestDatagram& d : iv.datagrams) {
       out.shard_of.emplace(d.source_addr, pipeline.shards().shard_of(d.source_addr));
     }
   }
+  const std::size_t pool = in.pool.size();
+  std::size_t offered = 0;
   const std::int64_t begin_ns = now_ns();
-  std::int64_t last_ns = begin_ns;
-  for (std::size_t i = 0;; ++i) {
-    if (count > 0 ? i >= count
-                  : (i >= min_intervals && seconds_between(begin_ns, now_ns()) >= seconds)) {
+  for (std::size_t round = 0;; ++round) {
+    if (rounds > 0 ? round >= rounds
+                   : (round >= static_cast<std::size_t>(kMinRounds) &&
+                      seconds_between(begin_ns, now_ns()) >= seconds)) {
       break;
     }
-    const std::size_t idx = i % in.pool.size();
-    const Interval& iv = in.pool[idx];
-    if (i % check_every == 0) {
-      out.checked.push_back(i);
-      if (prior_on) out.priors[i] = pipeline.tracker().prior_logodds(n_comps);
+    // One epoch per round is cross-checked, a different pool interval each
+    // round.
+    out.checked.push_back(offered + round % pool);
+    std::uint64_t reuses = pipeline.stats().arena_reuses;
+    for (std::size_t k = 0; k < pool; ++k, ++offered) {
+      const Interval& iv = in.pool[k];
+      const auto id = static_cast<std::int64_t>(offered);
+      const std::int64_t t0 = now_ns();
+      const std::int32_t span =
+          tracer.begin("stream.interval", id, static_cast<double>(iv.records));
+      feed(pipeline, iv, tracer, id);
+      pipeline.close_epoch();
+      const std::int64_t closed = now_ns();
+      pipeline.results().wait_for_epochs(offered + 1);
+      const std::int64_t t1 = now_ns();
+      tracer.add("pipeline.close_to_verdict", closed, t1, id);
+      tracer.end(span);
+      out.latency_s.push_back(seconds_between(t0, t1));
+      out.records += iv.records;
+      // The sink wakes waiters before its tracker callback runs.
+      if (pipeline.tracker().stats().epochs_observed < offered + 1) ++out.tracker_lagged;
     }
-    const auto id = static_cast<std::int64_t>(i);
-    const std::int64_t t0 = now_ns();
-    const std::int32_t span = tracer.begin("stream.interval", id, static_cast<double>(iv.records));
-    feed(pipeline, iv, in.replay_input, tracer, id);
-    pipeline.close_epoch();
-    const std::int64_t closed = now_ns();
-    pipeline.results().wait_for_epochs(i + 1);
-    const std::int64_t t1 = now_ns();
-    tracer.add("pipeline.close_to_verdict", closed, t1, id);
-    tracer.end(span);
-    last_ns = t1;
-    out.pool_index.push_back(idx);
-    out.latency_s.push_back(seconds_between(t0, t1));
-    out.records += iv.records;
-    // The sink wakes waiters before its tracker callback runs. With the
-    // carryover prior on, the next interval must not start until the
-    // tracker has seen this one, or its prior would depend on timing.
-    if (pipeline.tracker().stats().epochs_observed < i + 1) {
-      ++out.tracker_lagged;
-      while (prior_on && pipeline.tracker().stats().epochs_observed < i + 1) {
-        std::this_thread::yield();
+    out.reuses_in_flight += pipeline.stats().arena_reuses - reuses;
+    reuses = pipeline.stats().arena_reuses;
+    for (std::size_t pass = 0; pass < ahead_passes; ++pass) {
+      const std::int64_t t0 = now_ns();
+      std::uint64_t records = 0;
+      for (std::size_t k = 0; k < pool; ++k, ++offered) {
+        feed(pipeline, in.pool[k], tracer, static_cast<std::int64_t>(offered));
+        pipeline.close_epoch();
+        records += in.pool[k].records;
       }
+      pipeline.results().wait_for_epochs(offered);
+      out.capacity_rate.push_back(static_cast<double>(records) /
+                                  seconds_between(t0, now_ns()));
+      out.records += records;
     }
+    out.reuses_ahead += pipeline.stats().arena_reuses - reuses;
   }
-  out.wall_s = seconds_between(begin_ns, last_ns);
   pipeline.stop();
   out.stats = pipeline.stats();
   out.epochs = pipeline.results().completed();
+  std::sort(out.epochs.begin(), out.epochs.end(),
+            [](const flock::EpochResult& a, const flock::EpochResult& b) { return a.epoch < b.epoch; });
   out.verdicts = pipeline.tracker().verdicts();
-  for (const flock::EpochResult& e : out.epochs) out.diagnoses.push_back(e.predicted);
-  return out;
-}
-
-CapacityRun run_capacity(StreamInputs& in, double seconds) {
-  CapacityRun out;
-  Tracer off(false);
-  flock::StreamingPipeline pipeline(*in.env->topo, *in.env->router, in.pipeline);
-  const std::int64_t begin_ns = now_ns();
-  while (seconds_between(begin_ns, now_ns()) < seconds) {
-    const Interval& iv = in.pool[out.intervals % in.pool.size()];
-    feed(pipeline, iv, in.replay_input, off, -1);
-    pipeline.close_epoch();
-    out.records += iv.records;
-    ++out.intervals;
+  for (const flock::EpochResult& e : out.epochs) {
+    out.pool_index.push_back(static_cast<std::size_t>(e.epoch) % pool);
+    out.diagnoses.push_back(e.predicted);
   }
-  pipeline.results().wait_for_epochs(out.intervals);
-  out.wall_s = seconds_between(begin_ns, now_ns());
-  pipeline.stop();
-  out.stats = pipeline.stats();
-  out.epochs = pipeline.results().completed();
   return out;
 }
 
@@ -293,8 +230,7 @@ SyncReplayer::SyncReplayer(StreamInputs& in,
       [this](const flock::EpochResult& e) { merged_.push_back(e); });
 }
 
-SyncInterval SyncReplayer::replay(const Interval& iv, std::uint64_t epoch,
-                                  const std::vector<double>* prior, Tracer& tracer,
+SyncInterval SyncReplayer::replay(const Interval& iv, std::uint64_t epoch, Tracer& tracer,
                                   bool core_spans, std::uint64_t check_seed) {
   const flock::Topology& topo = *in_->env->topo;
   flock::EcmpRouter& router = *in_->env->router;
@@ -335,12 +271,12 @@ SyncInterval SyncReplayer::replay(const Interval& iv, std::uint64_t epoch,
       const flock::FlockParams& params = localizer_.options().params;
       if (core_spans) {
         Tracer::Scope span(tracer, "core.engine_build", id);
-        const flock::LikelihoodEngine engine(input, params, localizer_.options().use_jle, prior);
+        const flock::LikelihoodEngine engine(input, params, localizer_.options().use_jle);
       }
       const std::int64_t t1 = now_ns();
       {
         const std::int32_t span = core_spans ? tracer.begin("core.localize", id) : -1;
-        result = prior != nullptr ? localizer_.localize(input, *prior) : localizer_.localize(input);
+        result = localizer_.localize(input);
         tracer.end(span);
         tracer.set_work(span, static_cast<double>(result.hypotheses_scanned));
       }
@@ -353,7 +289,7 @@ SyncInterval SyncReplayer::replay(const Interval& iv, std::uint64_t epoch,
         candidates.push_back(
             static_cast<ComponentId>(pick.next_below(static_cast<std::uint64_t>(topo.num_components()))));
       }
-      const PosteriorModel model(input, params, prior);
+      const PosteriorModel model(input, params);
       const std::string err =
           check_localization(model, result.predicted, result.log_likelihood, candidates);
       if (!err.empty() && out.check_error.empty()) {
@@ -401,10 +337,9 @@ double mean_fscore(const StreamInputs& in, const IntervalRun& run) {
   return total / static_cast<double>(run.diagnoses.size());
 }
 
-// Every fault that persists through the whole run must have been confirmed
-// by the tracker, itself or through a member of its ECMP equivalence class.
-// Its final state may be `flapping`: on some seeds the per-interval
-// diagnosis misses a persistent fault in a few intervals.
+// Every fault that persists through the whole run must end the run in the
+// tracker's `confirmed` state, itself or through a member of its ECMP
+// equivalence class.
 std::string check_ground_truth(const StreamInputs& in, const IntervalRun& run) {
   const auto classes = flock::ecmp_equivalence_classes(*in.env->router);
   for (ComponentId fault : in.env->traces.front().truth.failed) {
@@ -413,7 +348,7 @@ std::string check_ground_truth(const StreamInputs& in, const IntervalRun& run) {
       if (std::find(cls.begin(), cls.end(), fault) != cls.end()) members = cls;
     }
     const bool confirmed = std::any_of(run.verdicts.begin(), run.verdicts.end(), [&](const auto& v) {
-      return v.confirmations > 0 &&
+      return v.state == flock::ComponentHealth::kConfirmed &&
              std::find(members.begin(), members.end(), v.component) != members.end();
     });
     if (!confirmed) {
@@ -430,20 +365,14 @@ std::string check_ground_truth(const StreamInputs& in, const IntervalRun& run) {
   return {};
 }
 
-std::string check_conservation_of(const IntervalRun& run) {
-  return check_conservation(run.records, run.latency_s.size(), run.stats, run.epochs);
-}
-
 }  // namespace
 
-WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double seconds,
-                          bool trace, std::int64_t start_ns, Tracer& tracer) {
+WorkloadResult run_stream(std::uint64_t seed, double seconds, bool trace, std::int64_t start_ns,
+                          Tracer& tracer) {
   WorkloadResult r;
-  StreamInputs in = build_stream_inputs(config, seed, tracer, trace);
+  StreamInputs in = build_stream_inputs(seed, tracer, trace);
   const double setup_s = seconds_between(start_ns, now_ns());
   Tracer off(false);
-  const double interval_seconds = seconds * config.interval_share;
-  const auto min_intervals = static_cast<std::size_t>(config.min_intervals);
   std::uint64_t records = 0;
   for (const Interval& iv : in.pool) records += iv.records;
   r.info.push_back("pool: " + std::to_string(in.pool.size()) + " intervals, " +
@@ -451,29 +380,23 @@ WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double
                    std::to_string(in.env->topo->num_links()) + " links");
 
   if (!trace) {
-    const IntervalRun run = run_intervals(in, 0, interval_seconds, min_intervals,
-                                          static_cast<std::size_t>(config.check_every), off);
-    const CapacityRun cap = run_capacity(in, seconds - interval_seconds);
-    r.attempted = run.latency_s.size() + cap.intervals;
-    r.failed = r.attempted - std::min<std::uint64_t>(r.attempted, run.epochs.size() + cap.epochs.size());
+    const IntervalRun run = run_rounds(in, 0, seconds, kAheadPasses, off);
+    r.attempted = run.latency_s.size() + run.capacity_rate.size() * in.pool.size();
+    r.failed = r.attempted - std::min<std::uint64_t>(r.attempted, run.epochs.size());
 
-    std::string err = check_conservation_of(run);
-    if (err.empty()) err = check_conservation(cap.records, cap.intervals, cap.stats, cap.epochs);
+    std::string err = check_conservation(run.records, r.attempted, run.stats, run.epochs);
     SyncReplayer replayer(in, run.shard_of);
     for (std::size_t i : run.checked) {
       if (!err.empty()) break;
-      const auto prior = run.priors.find(i);
       const SyncInterval sync =
-          replayer.replay(in.pool[run.pool_index[i]], i,
-                          prior == run.priors.end() ? nullptr : &prior->second, off, false,
-                          seed_for(seed, 7000 + i));
+          replayer.replay(in.pool[run.pool_index[i]], i, off, false, seed_for(seed, 7000 + i));
       if (!sync.check_error.empty()) err = sync.check_error;
       else if (sync.merged != run.diagnoses[i]) {
         err = "interval " + std::to_string(i) + ": merged diagnosis differs from the "
               "union of the synchronous per-shard diagnoses";
       }
     }
-    if (err.empty() && !config.churn_schedule) err = check_ground_truth(in, run);
+    if (err.empty()) err = check_ground_truth(in, run);
     if (!err.empty()) {
       r.correct = false;
       r.error = err;
@@ -482,7 +405,7 @@ WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double
     std::vector<double> latency_ms;
     for (double s : run.latency_s) latency_ms.push_back(s * 1e3);
     r.metrics["setup_s"] = {setup_s, "s"};
-    r.metrics["records_per_s"] = {static_cast<double>(cap.records) / cap.wall_s, "records/s"};
+    r.metrics["records_per_s"] = {median(run.capacity_rate), "records/s"};
     r.metrics["epoch_p50_ms"] = {quantile(latency_ms, 0.5), "ms"};
     r.info.push_back("fscore: " + std::to_string(mean_fscore(in, run)));
     r.info.push_back("epoch_p90_ms: " + std::to_string(quantile(latency_ms, 0.9)));
@@ -491,40 +414,49 @@ WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double
     };
     r.info.push_back("interval phase: " + std::to_string(run.latency_s.size()) +
                      " intervals, arena reuses per epoch " +
-                     per_epoch(run.stats.arena_reuses, run.epochs.size()) +
+                     per_epoch(run.reuses_in_flight, run.latency_s.size()) +
                      ", tracker behind the sink after " + std::to_string(run.tracker_lagged) +
                      " of them");
-    r.info.push_back("capacity phase: " + std::to_string(cap.intervals) + " intervals in " +
-                     std::to_string(cap.wall_s) + " s, arena reuses per epoch " +
-                     per_epoch(cap.stats.arena_reuses, cap.epochs.size()));
+    r.info.push_back("capacity phase: " + std::to_string(run.capacity_rate.size()) +
+                     " passes, records/s min " +
+                     std::to_string(*std::min_element(run.capacity_rate.begin(),
+                                                      run.capacity_rate.end())) +
+                     " max " +
+                     std::to_string(*std::max_element(run.capacity_rate.begin(),
+                                                      run.capacity_rate.end())) +
+                     ", arena reuses per epoch " +
+                     per_epoch(run.reuses_ahead, run.capacity_rate.size() * in.pool.size()));
     return r;
   }
 
-  // Traced run: the same intervals untraced, then traced; the diagnoses must
-  // match, and the difference in wall time is the cost of tracing.
-  const IntervalRun base = run_intervals(in, 0, interval_seconds, min_intervals, 1, off);
-  const IntervalRun run = run_intervals(in, base.latency_s.size(), 0.0, 0, 1, tracer);
+  // Traced run: the same rounds untraced, then traced, one interval in
+  // flight; the diagnoses must match. The cost of tracing is the median
+  // per-interval latency difference of the two times the interval count,
+  // which a few slow intervals on either side do not move.
+  const auto rounds = static_cast<std::size_t>(kMinRounds);
+  const IntervalRun base = run_rounds(in, rounds, 0.0, 0, off);
+  const IntervalRun run = run_rounds(in, rounds, 0.0, 0, tracer);
   r.attempted = run.latency_s.size();
   r.failed = r.attempted - std::min<std::uint64_t>(r.attempted, run.epochs.size());
-  std::string err = check_conservation_of(run);
+  std::string err = check_conservation(run.records, r.attempted, run.stats, run.epochs);
   if (err.empty() && run.diagnoses != base.diagnoses) {
     err = "traced diagnoses differ from the untraced ones";
   }
+  if (err.empty()) err = check_ground_truth(in, run);
   std::vector<double> overhead_ms;
+  std::vector<double> critical_ms;
   std::vector<double> dedup;
   SyncReplayer replayer(in, run.shard_of);
   const std::size_t replayed = std::min<std::size_t>(run.latency_s.size(), 48);
   for (std::size_t i = 0; i < replayed && err.empty(); ++i) {
-    const auto prior = run.priors.find(i);
     const SyncInterval sync =
-        replayer.replay(in.pool[run.pool_index[i]], i,
-                        prior == run.priors.end() ? nullptr : &prior->second, tracer, true,
-                        seed_for(seed, 7000 + i));
+        replayer.replay(in.pool[run.pool_index[i]], i, tracer, true, seed_for(seed, 7000 + i));
     if (!sync.check_error.empty()) err = sync.check_error;
     else if (sync.merged != run.diagnoses[i]) {
       err = "interval " + std::to_string(i) + ": merged diagnosis differs from the sync path";
     }
     overhead_ms.push_back((base.latency_s[i] - sync.critical_path_s) * 1e3);
+    critical_ms.push_back(sync.critical_path_s * 1e3);
     dedup.insert(dedup.end(), sync.dedup_ratio.begin(), sync.dedup_ratio.end());
   }
   for (std::size_t p = 0; p < in.pool.size(); ++p) {
@@ -538,9 +470,29 @@ WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double
   add_layer_metrics(tracer, r.metrics);
   if (!overhead_ms.empty()) r.metrics["pipeline.overhead_ms"] = {median(overhead_ms), "ms"};
   if (!dedup.empty()) r.metrics["core.dedup_ratio"] = {median(dedup), "rows/obs"};
-  r.metrics["trace.overhead_s"] = {run.wall_s - base.wall_s, "s"};
+  std::vector<double> traced_minus_untraced;
+  for (std::size_t i = 0; i < run.latency_s.size(); ++i) {
+    traced_minus_untraced.push_back(run.latency_s[i] - base.latency_s[i]);
+  }
+  r.metrics["trace.overhead_s"] = {
+      median(traced_minus_untraced) * static_cast<double>(run.latency_s.size()), "s"};
+  if (!overhead_ms.empty() && r.metrics.count("core.localize_ms") != 0) {
+    // Where an interval's time goes, from the same traced run.
+    std::vector<double> latency_ms;
+    for (std::size_t i = 0; i < overhead_ms.size(); ++i) {
+      latency_ms.push_back(base.latency_s[i] * 1e3);
+    }
+    const double p50 = median(latency_ms);
+    r.info.push_back("interval latency p50 " + std::to_string(p50) +
+                     " ms untraced; synchronous critical path p50 " +
+                     std::to_string(median(critical_ms)) + " ms; localize " +
+                     std::to_string(100.0 * r.metrics["core.localize_ms"].value / p50) +
+                     "% and pipeline overhead " +
+                     std::to_string(100.0 * median(overhead_ms) / p50) + "% of it");
+  }
   return r;
 }
+
 
 void add_layer_metrics(const Tracer& tracer, MetricMap& m) {
   const auto put = [&](const char* metric, const char* unit, std::vector<double> samples,

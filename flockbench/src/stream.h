@@ -1,4 +1,4 @@
-// The stream workloads: the §5 service (StreamingPipeline) fed interval by
+// The stream workload: the §5 service (StreamingPipeline) fed interval by
 // interval from one producer thread, plus the synchronous replay that
 // cross-checks and attributes its work.
 #pragma once
@@ -30,10 +30,9 @@ struct StreamInputs {
   std::unique_ptr<flock::ExperimentEnv> env;  // topology, router, one trace per interval
   std::vector<Interval> pool;
   flock::PipelineConfig pipeline;
-  bool replay_input = false;
 };
 
-flock::PipelineConfig service_config(double prior_weight);
+flock::PipelineConfig service_config();
 
 // Agents per host observe the trace's flows (application paths stripped,
 // probe paths kept) and flush once: the interval's datagrams. Traced as
@@ -49,48 +48,38 @@ void capture_interval(Interval& interval, Tracer& tracer);
 // Traced as net.replay.
 std::uint64_t read_capture(const std::string& capture, Tracer& tracer, std::int64_t id);
 
-// Set-up of a stream workload: fabric, warmed router, the interval pool
-// simulated and encoded (and captured when the workload replays, or when
-// `capture_all`).
-StreamInputs build_stream_inputs(const StreamConfig& config, std::uint64_t seed, Tracer& tracer,
-                                 bool capture_all);
+// Set-up of stream_steady: fabric, warmed router, the interval pool
+// simulated and encoded (and captured to datagram logs when `capture`).
+StreamInputs build_stream_inputs(std::uint64_t seed, Tracer& tracer, bool capture);
 
 // Components that failed in the interval's ground truth.
 const std::vector<flock::ComponentId>& interval_truth(const StreamInputs& in,
                                                       const Interval& interval);
 
 struct IntervalRun {
-  std::vector<std::size_t> pool_index;           // per interval
-  std::vector<double> latency_s;                 // first offer -> merged verdict
-  std::vector<std::vector<flock::ComponentId>> diagnoses;
-  // Carryover prior the localizer saw, per checked interval (empty when the
-  // prior is off).
-  std::unordered_map<std::size_t, std::vector<double>> priors;
-  std::vector<std::size_t> checked;              // intervals to cross-check
-  std::uint64_t records = 0;
-  double wall_s = 0.0;                           // first offer -> last verdict
-  std::uint64_t tracker_lagged = 0;              // verdicts seen before the tracker observed them
+  std::vector<std::size_t> pool_index;           // per epoch
+  std::vector<std::vector<flock::ComponentId>> diagnoses;  // per epoch
+  std::vector<double> latency_s;       // one interval in flight: first offer -> merged verdict
+  std::vector<double> capacity_rate;   // records/s of each run-ahead stretch
+  std::vector<std::size_t> checked;    // epochs to cross-check
+  std::uint64_t records = 0;           // records offered
+  std::uint64_t tracker_lagged = 0;    // verdicts seen before the tracker observed them
+  std::uint64_t reuses_in_flight = 0;  // arena reuses during one-in-flight passes
+  std::uint64_t reuses_ahead = 0;      // and during run-ahead passes
   flock::PipelineStats stats;
   std::vector<flock::EpochResult> epochs;
-  std::vector<flock::ComponentVerdict> verdicts;  // tracker state after the last interval
+  std::vector<flock::ComponentVerdict> verdicts;  // tracker state after the last epoch
   std::unordered_map<std::uint32_t, std::int32_t> shard_of;  // exporter -> shard
 };
 
-// Interval phase: one interval in flight. Runs `count` intervals, or when
-// count is 0, until `seconds` have passed and at least `min_intervals` ran.
-IntervalRun run_intervals(StreamInputs& in, std::size_t count, double seconds,
-                          std::size_t min_intervals, std::size_t check_every, Tracer& tracer);
-
-struct CapacityRun {
-  std::uint64_t records = 0;
-  std::uint64_t intervals = 0;
-  double wall_s = 0.0;
-  flock::PipelineStats stats;
-  std::vector<flock::EpochResult> epochs;
-};
-
-// Capacity phase: the producer runs ahead, epochs overlap.
-CapacityRun run_capacity(StreamInputs& in, double seconds);
+// Feeds one pipeline in rounds. A round is one pass over the pool with one
+// interval in flight (the interval phase), then `ahead_passes` passes with
+// the producer running ahead on offer_wait (the capacity phase), each timed
+// from its first offer to its last verdict. Runs `rounds` rounds, or when
+// `rounds` is 0, until `seconds` have passed and at least kMinRounds ran.
+// Every round is whole passes, so epoch e is pool interval e % pool size.
+IntervalRun run_rounds(StreamInputs& in, std::size_t rounds, double seconds,
+                       std::size_t ahead_passes, Tracer& tracer);
 
 // One interval replayed through the synchronous public path: per shard a
 // standalone Collector (decode + join) and FlockLocalizer, then a standalone
@@ -107,11 +96,9 @@ class SyncReplayer {
  public:
   SyncReplayer(StreamInputs& in, const std::unordered_map<std::uint32_t, std::int32_t>& shard_of);
 
-  // `prior` is the carryover the pipeline's localizer saw (null when off).
   // `core_spans` records engine-build and localize spans.
-  SyncInterval replay(const Interval& interval, std::uint64_t epoch,
-                      const std::vector<double>* prior, Tracer& tracer, bool core_spans,
-                      std::uint64_t check_seed);
+  SyncInterval replay(const Interval& interval, std::uint64_t epoch, Tracer& tracer,
+                      bool core_spans, std::uint64_t check_seed);
 
  private:
   StreamInputs* in_;
@@ -122,10 +109,10 @@ class SyncReplayer {
   std::vector<flock::EpochResult> merged_;
 };
 
-// The stream workloads, untraced (end-to-end metrics) and traced (per-layer
+// stream_steady, untraced (end-to-end metrics) or traced (per-layer
 // metrics). `start_ns` is the process start, for setup_s.
-WorkloadResult run_stream(const StreamConfig& config, std::uint64_t seed, double seconds,
-                          bool trace, std::int64_t start_ns, Tracer& tracer);
+WorkloadResult run_stream(std::uint64_t seed, double seconds, bool trace, std::int64_t start_ns,
+                          Tracer& tracer);
 
 // Per-layer metrics common to every traced run, computed from the spans.
 void add_layer_metrics(const Tracer& tracer, MetricMap& metrics);

@@ -43,7 +43,7 @@ TEST(Conservation, HoldsForTheFullIntervalAndBreaksOnAWithheldDatagram) {
   ASSERT_GT(iv.datagrams.size(), 1u);
   w.router.build_all_tor_pairs();
   for (const bool withhold : {false, true}) {
-    flock::StreamingPipeline pipeline(w.topo, w.router, service_config(0.0));
+    flock::StreamingPipeline pipeline(w.topo, w.router, service_config());
     const std::size_t n = iv.datagrams.size() - (withhold ? 1 : 0);
     for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(pipeline.offer_wait(iv.datagrams[i]));
     pipeline.close_epoch();
