@@ -150,7 +150,10 @@ int run() {
       const auto localizer = make_localizer(combos[i], point.params);
       const Accuracy acc = run_scheme_mean(*localizer, *test, view);
       std::string params;
-      for (double p : point.params) params += (params.empty() ? "" : ",") + Table::num(p, 4);
+      for (double p : point.params) {
+        if (!params.empty()) params.append(",");
+        params.append(Table::num(p, 4));
+      }
       curve.add_row({combos[i].scheme, combos[i].input, params, Table::num(acc.precision),
                      Table::num(acc.recall)});
     }

@@ -85,6 +85,10 @@ int main() {
 
   Table table({"input", "stage", "seconds", "obs/s", "vs raw rows"});
   BenchJson json("micro_inference");
+  // A failed self-gate is counted, not returned at once: the run finishes and
+  // writes every JSON row first, so one failed ratio does not also read as
+  // missing baseline rows.
+  int gate_failures = 0;
   double rate_localize_dedup = 0.0, rate_localize_raw = 0.0;
   std::vector<ComponentId> predicted_dedup, predicted_raw;
 
@@ -154,15 +158,16 @@ int main() {
   if (predicted_dedup != predicted_raw) {
     std::cerr << "FAIL: dedup changed the localization result (" << predicted_dedup.size()
               << " vs " << predicted_raw.size() << " components)\n";
-    return 1;
+    ++gate_failures;
   }
   const double ratio = rate_localize_dedup / rate_localize_raw;
   std::cout << "\ndedup localization speedup: " << Table::num(ratio, 2)
-            << "x (required >= 2.0 on this passive-heavy epoch), identical prediction\n";
+            << "x (required >= 2.0 on this passive-heavy epoch)"
+            << (predicted_dedup == predicted_raw ? ", identical prediction" : "") << "\n";
   if (ratio < 2.0) {
     std::cerr << "FAIL: weighted dedup only reaches " << ratio
               << "x localization throughput (required >= 2.0)\n";
-    return 1;
+    ++gate_failures;
   }
 
   // --- SIMD kernel A/B on the same epoch's real columns ----------------------
@@ -247,7 +252,7 @@ int main() {
   if (sum_simd != sum_scalar) {
     std::cerr << "FAIL: kernel checksums differ between " << simd::level_name(best_level)
               << " and scalar (dispatch contract: bit-identical)\n";
-    return 1;
+    ++gate_failures;
   }
 
   // Full localizer under each dispatch level: the end-to-end view of the
@@ -288,7 +293,7 @@ int main() {
   // --- Intra-epoch parallelism A/B (common/parallel_for.h) -------------------
   // The no-JLE localizer is the embarrassingly parallel surface: every
   // candidate is evaluated from scratch each iteration. Thread count is a
-  // pure performance lever — predictions AND log-likelihood checksums must
+  // pure performance lever — predictions AND reported log posteriors must
   // be byte-identical at 1/2/4 threads always; the >= 1.5x speedup at 4
   // threads is gated only on machines with >= 4 cores (elsewhere the leg
   // still runs for the identity checks and records informational rows).
@@ -340,8 +345,8 @@ int main() {
   threads_table.print(std::cout);
   if (!threads_identical) {
     std::cerr << "FAIL: localize_threads changed the no-JLE result (determinism contract: "
-                 "byte-identical predictions and bit-equal log-likelihoods)\n";
-    return 1;
+                 "byte-identical predictions and bit-equal log posteriors)\n";
+    ++gate_failures;
   }
   // JLE mode parallelizes only the engine's memo batch-fill; the identity
   // contract holds there too (informational — no timing gate).
@@ -353,41 +358,41 @@ int main() {
     if (team.predicted != serial.predicted ||
         std::memcmp(&team.log_likelihood, &serial.log_likelihood, sizeof(double)) != 0) {
       std::cerr << "FAIL: localize_threads changed the JLE result\n";
-      return 1;
+      ++gate_failures;
     }
   }
   const double threads_ratio = rate_threads_4 / rate_threads_1;
   std::cout << "\n4-thread no-JLE localize speedup: " << Table::num(threads_ratio, 2)
             << "x (required >= 1.5 on >= 4 cores; this machine has " << hw_threads
-            << "), identical results at every thread count\n";
+            << ")" << (threads_identical ? ", identical results at every thread count" : "")
+            << "\n";
   if (hw_threads >= 4 && threads_ratio < 1.5) {
     std::cerr << "FAIL: 4 localize threads only reach " << threads_ratio
               << "x serial throughput (required >= 1.5 on a >= 4-core machine)\n";
-    return 1;
+    ++gate_failures;
   }
-  json.write();
 
   if (predicted_simd != predicted_scalar) {
     std::cerr << "FAIL: SIMD dispatch changed the localization result ("
               << predicted_simd.size() << " vs " << predicted_scalar.size()
               << " components)\n";
-    return 1;
+    ++gate_failures;
   }
   if (best_level == simd::Level::kScalar) {
     std::cout << "\nno SIMD level on this CPU: kernel A/B is scalar-vs-scalar, "
                  "speedup gate skipped\n";
-    return 0;
+  } else {
+    const double kernel_ratio = rate_kernel_simd / rate_kernel_scalar;
+    std::cout << "\n" << simd::level_name(best_level) << " kernel speedup: "
+              << Table::num(kernel_ratio, 2) << "x (required >= 1.5), localize speedup: "
+              << Table::num(rate_loc_simd / rate_loc_scalar, 2) << "x"
+              << (predicted_simd == predicted_scalar ? ", identical predictions" : "") << "\n";
+    if (kernel_ratio < 1.5) {
+      std::cerr << "FAIL: " << simd::level_name(best_level) << " kernel only reaches "
+                << kernel_ratio << "x scalar throughput (required >= 1.5)\n";
+      ++gate_failures;
+    }
   }
-  const double kernel_ratio = rate_kernel_simd / rate_kernel_scalar;
-  std::cout << "\n" << simd::level_name(best_level) << " kernel speedup: "
-            << Table::num(kernel_ratio, 2)
-            << "x (required >= 1.5), localize speedup: "
-            << Table::num(rate_loc_simd / rate_loc_scalar, 2)
-            << "x, identical predictions\n";
-  if (kernel_ratio < 1.5) {
-    std::cerr << "FAIL: " << simd::level_name(best_level) << " kernel only reaches "
-              << kernel_ratio << "x scalar throughput (required >= 1.5)\n";
-    return 1;
-  }
-  return 0;
+  json.write();
+  return gate_failures > 0 ? 1 : 0;
 }

@@ -30,7 +30,7 @@ struct FlockOptions {
   double equivalence_epsilon = 0.0;
   // Intra-epoch worker-team size for one localize call (common/parallel_for.h).
   // 0 defers to FLOCK_LOCALIZE_THREADS (default 1 = serial). Thread count is
-  // a pure performance lever: predictions and log-likelihoods are
+  // a pure performance lever: predictions and log posteriors are
   // byte-identical at 1, 2, or N threads — every parallelized sum keeps its
   // serial accumulation order.
   std::int32_t localize_threads = 0;

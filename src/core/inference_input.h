@@ -120,7 +120,10 @@ class InferenceInput {
 // Result of one localization run.
 struct LocalizationResult {
   std::vector<ComponentId> predicted;
-  double log_likelihood = 0.0;  // of the returned hypothesis (PGM schemes)
+  // Log posterior of the returned hypothesis (PGM schemes: Flock, Gibbs,
+  // Sherlock) — the observations' log likelihood plus the component priors,
+  // despite the field's name. ResultSink sums it into shard_score_sum.
+  double log_likelihood = 0.0;
   std::int64_t hypotheses_scanned = 0;
   // Lookups the likelihood engine's dense S(x) memo served without a column
   // scan (see core/likelihood_engine.h); rides into PipelineStats::memo_hits.

@@ -1,147 +1,112 @@
 #include "eval/trace_io.h"
 
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
+
+#include "common/wire.h"
 
 namespace flock {
 namespace {
 
-constexpr char kMagic[4] = {'F', 'L', 'K', 'T'};
+constexpr char kFormat[] = "trace_io";
+constexpr wire::Magic kMagic = {'F', 'L', 'K', 'T'};
 constexpr std::uint32_t kVersion = 1;
-
-void put_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  std::uint32_t v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("trace_io: truncated input");
-  return v;
-}
-std::uint64_t get_u64(std::istream& is) {
-  std::uint64_t v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("trace_io: truncated input");
-  return v;
-}
-double get_f64(std::istream& is) {
-  double v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("trace_io: truncated input");
-  return v;
-}
-
-void put_flow(std::ostream& os, const SimFlow& f) {
-  put_u32(os, static_cast<std::uint32_t>(f.kind));
-  put_u32(os, static_cast<std::uint32_t>(f.src_host));
-  put_u32(os, static_cast<std::uint32_t>(f.dst_host));
-  put_u32(os, static_cast<std::uint32_t>(f.src_link));
-  put_u32(os, static_cast<std::uint32_t>(f.dst_link));
-  put_u32(os, static_cast<std::uint32_t>(f.path_set));
-  put_u32(os, static_cast<std::uint32_t>(f.taken_path));
-  put_u32(os, f.packets_sent);
-  put_u32(os, f.dropped);
-  put_f64(os, static_cast<double>(f.rtt_ms));
-}
-
-SimFlow get_flow(std::istream& is) {
-  SimFlow f;
-  f.kind = static_cast<SimFlowKind>(get_u32(is));
-  f.src_host = static_cast<NodeId>(get_u32(is));
-  f.dst_host = static_cast<NodeId>(get_u32(is));
-  f.src_link = static_cast<ComponentId>(get_u32(is));
-  f.dst_link = static_cast<ComponentId>(get_u32(is));
-  f.path_set = static_cast<PathSetId>(get_u32(is));
-  f.taken_path = static_cast<std::int32_t>(get_u32(is));
-  f.packets_sent = get_u32(is);
-  f.dropped = get_u32(is);
-  f.rtt_ms = static_cast<float>(get_f64(is));
-  return f;
-}
 
 }  // namespace
 
 void write_trace(std::ostream& os, const Trace& trace, const Topology& topo,
                  const EcmpRouter& router) {
-  os.write(kMagic, sizeof kMagic);
-  put_u32(os, kVersion);
-  put_u32(os, static_cast<std::uint32_t>(topo.num_links()));
-  put_u32(os, static_cast<std::uint32_t>(topo.num_devices()));
-  put_u32(os, static_cast<std::uint32_t>(router.num_path_sets()));
+  using wire::put;
+  wire::put_header(os, kMagic, kVersion);
+  put<std::uint32_t>(os, topo.num_links());
+  put<std::uint32_t>(os, topo.num_devices());
+  put<std::uint32_t>(os, router.num_path_sets());
 
-  put_u32(os, static_cast<std::uint32_t>(trace.truth.failed.size()));
-  for (ComponentId c : trace.truth.failed) put_u32(os, static_cast<std::uint32_t>(c));
-  put_u32(os, static_cast<std::uint32_t>(trace.truth.device_failed_links.size()));
+  put<std::uint32_t>(os, trace.truth.failed.size());
+  for (ComponentId c : trace.truth.failed) put<std::int32_t>(os, c);
+  put<std::uint32_t>(os, trace.truth.device_failed_links.size());
   for (const auto& [dev, links] : trace.truth.device_failed_links) {
-    put_u32(os, static_cast<std::uint32_t>(dev));
-    put_u32(os, static_cast<std::uint32_t>(links.size()));
-    for (ComponentId l : links) put_u32(os, static_cast<std::uint32_t>(l));
+    put<std::int32_t>(os, dev);
+    put<std::uint32_t>(os, links.size());
+    for (ComponentId l : links) put<std::int32_t>(os, l);
   }
-  put_u32(os, static_cast<std::uint32_t>(trace.truth.link_drop_rate.size()));
-  for (double r : trace.truth.link_drop_rate) put_f64(os, r);
+  put<std::uint32_t>(os, trace.truth.link_drop_rate.size());
+  for (double r : trace.truth.link_drop_rate) put<double>(os, r);
 
-  put_u64(os, trace.flows.size());
-  for (const SimFlow& f : trace.flows) put_flow(os, f);
+  put<std::uint64_t>(os, trace.flows.size());
+  for (const SimFlow& f : trace.flows) {
+    put<std::uint32_t>(os, static_cast<std::uint32_t>(f.kind));
+    put<std::int32_t>(os, f.src_host);
+    put<std::int32_t>(os, f.dst_host);
+    put<std::int32_t>(os, f.src_link);
+    put<std::int32_t>(os, f.dst_link);
+    put<std::int32_t>(os, f.path_set);
+    put<std::int32_t>(os, f.taken_path);
+    put<std::uint32_t>(os, f.packets_sent);
+    put<std::uint32_t>(os, f.dropped);
+    put<double>(os, f.rtt_ms);
+  }
 }
 
 Trace read_trace(std::istream& is, const Topology& topo, const EcmpRouter& router) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("trace_io: bad magic");
+  wire::StreamReader in(is, kFormat);
+  wire::get_header(in, kMagic, kVersion);
+  if (in.get<std::uint32_t>() != static_cast<std::uint32_t>(topo.num_links()) ||
+      in.get<std::uint32_t>() != static_cast<std::uint32_t>(topo.num_devices())) {
+    in.fail("topology mismatch");
   }
-  if (get_u32(is) != kVersion) throw std::runtime_error("trace_io: unsupported version");
-  if (get_u32(is) != static_cast<std::uint32_t>(topo.num_links()) ||
-      get_u32(is) != static_cast<std::uint32_t>(topo.num_devices())) {
-    throw std::runtime_error("trace_io: topology mismatch");
-  }
-  const std::uint32_t want_path_sets = get_u32(is);
+  const auto want_path_sets = in.get<std::uint32_t>();
   if (want_path_sets > static_cast<std::uint32_t>(router.num_path_sets())) {
-    throw std::runtime_error(
-        "trace_io: router has fewer path sets than the trace references; "
-        "rebuild routes (e.g. build_all_tor_pairs) before loading");
+    in.fail("router has fewer path sets than the trace references; "
+            "rebuild routes (e.g. build_all_tor_pairs) before loading");
   }
 
+  // Counts are untrusted: containers grow as elements arrive, so a corrupt
+  // count ends in a truncation error, not in an allocation.
   Trace trace;
-  const std::uint32_t n_failed = get_u32(is);
+  const auto n_failed = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_failed; ++i) {
-    trace.truth.failed.push_back(static_cast<ComponentId>(get_u32(is)));
+    const auto c = in.get<std::int32_t>();
+    if (c < 0 || c >= topo.num_components()) in.fail("ground truth names an unknown component");
+    trace.truth.failed.push_back(c);
   }
-  const std::uint32_t n_dev = get_u32(is);
+  const auto n_dev = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_dev; ++i) {
-    const auto dev = static_cast<ComponentId>(get_u32(is));
-    const std::uint32_t n_links = get_u32(is);
+    const auto dev = in.get<std::int32_t>();
+    const auto n_links = in.get<std::uint32_t>();
     auto& links = trace.truth.device_failed_links[dev];
-    for (std::uint32_t j = 0; j < n_links; ++j) {
-      links.push_back(static_cast<ComponentId>(get_u32(is)));
-    }
+    for (std::uint32_t j = 0; j < n_links; ++j) links.push_back(in.get<std::int32_t>());
   }
-  const std::uint32_t n_rates = get_u32(is);
-  if (n_rates != static_cast<std::uint32_t>(topo.num_links())) {
-    throw std::runtime_error("trace_io: drop-rate vector mismatch");
-  }
+  const auto n_rates = in.get<std::uint32_t>();
+  if (n_rates != static_cast<std::uint32_t>(topo.num_links())) in.fail("drop-rate vector mismatch");
   trace.truth.link_drop_rate.resize(n_rates);
-  for (auto& r : trace.truth.link_drop_rate) r = get_f64(is);
+  for (auto& r : trace.truth.link_drop_rate) r = in.get<double>();
 
-  const std::uint64_t n_flows = get_u64(is);
-  trace.flows.reserve(n_flows);
+  const auto n_flows = in.get<std::uint64_t>();
   for (std::uint64_t i = 0; i < n_flows; ++i) {
-    SimFlow f = get_flow(is);
+    SimFlow f;
+    const auto kind = in.get<std::uint32_t>();
+    if (kind > static_cast<std::uint32_t>(SimFlowKind::kApp)) in.fail("unknown flow kind");
+    f.kind = static_cast<SimFlowKind>(kind);
+    f.src_host = in.get<std::int32_t>();
+    f.dst_host = in.get<std::int32_t>();
+    f.src_link = in.get<std::int32_t>();
+    f.dst_link = in.get<std::int32_t>();
+    f.path_set = in.get<std::int32_t>();
+    f.taken_path = in.get<std::int32_t>();
+    f.packets_sent = in.get<std::uint32_t>();
+    f.dropped = in.get<std::uint32_t>();
+    f.rtt_ms = static_cast<float>(in.get<double>());
     if (f.path_set < 0 || f.path_set >= router.num_path_sets()) {
-      throw std::runtime_error("trace_io: flow references unknown path set");
+      in.fail("flow references unknown path set");
     }
-    const auto width = static_cast<std::int32_t>(
-        router.path_set(f.path_set).paths.size());
-    if (f.taken_path < 0 || f.taken_path >= width || f.dropped > f.packets_sent) {
-      throw std::runtime_error("trace_io: malformed flow record");
+    const auto width = static_cast<std::int32_t>(router.path_set(f.path_set).paths.size());
+    const auto bad_link = [&topo](ComponentId c) {
+      return c != kInvalidComponent && !topo.is_link_component(c);
+    };
+    if (f.taken_path < 0 || f.taken_path >= width || f.dropped > f.packets_sent ||
+        bad_link(f.src_link) || bad_link(f.dst_link)) {
+      in.fail("malformed flow record");
     }
     trace.flows.push_back(f);
   }

@@ -5,12 +5,15 @@
 // rebuilds the identical topology/router (the file records the dimensions
 // and validates them on load).
 //
-// Format (little-endian, versioned):
+// Format (little-endian, versioned; encoded by common/wire.h):
 //   magic "FLKT", u32 version,
 //   u32 num_links, u32 num_devices, u32 num_path_sets   (validation header)
 //   ground truth: u32 n_failed, failed ids; u32 n_dev entries of
 //     (device id, u32 n_links, link ids); u32 n_rates, doubles
-//   flows: u64 count, packed records.
+//   flows: u64 count, then per flow u32 kind, i32 src_host, dst_host,
+//     src_link, dst_link, path_set, taken_path, u32 packets_sent, dropped,
+//     f64 rtt_ms. Tracker snapshots share the "FLKT" v1 header; the fields
+//     after it tell the two apart.
 #pragma once
 
 #include <iosfwd>
@@ -24,7 +27,8 @@ namespace flock {
 void write_trace(std::ostream& os, const Trace& trace, const Topology& topo,
                  const EcmpRouter& router);
 
-// Throws std::runtime_error on malformed input or a topology mismatch.
+// Throws std::runtime_error on malformed input (corrupt counts included) or
+// a topology mismatch.
 Trace read_trace(std::istream& is, const Topology& topo, const EcmpRouter& router);
 
 // File-path convenience wrappers.

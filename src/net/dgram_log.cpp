@@ -1,7 +1,6 @@
 #include "net/dgram_log.h"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -9,12 +8,14 @@
 #include <thread>
 #include <utility>
 
+#include "common/wire.h"
 #include "topology/ecmp.h"
 
 namespace flock {
 namespace {
 
-constexpr char kMagic[4] = {'F', 'L', 'K', 'D'};
+constexpr char kFormat[] = "dgram_log";
+constexpr wire::Magic kMagic = {'F', 'L', 'K', 'D'};
 // v1: no fingerprint fields. v2: u32 path_set_count + u64 hash follow the
 // version word. Old logs stay readable; new logs carry the routing identity.
 constexpr std::uint32_t kVersion = 2;
@@ -25,44 +26,6 @@ constexpr std::streamoff kFingerprintOffset = 8;
 // allocating whatever a flipped bit asks for.
 constexpr std::uint32_t kMaxPayloadBytes = 1 << 16;
 
-void put_u16(std::ostream& os, std::uint16_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void put_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint16_t get_u16(std::istream& is) {
-  std::uint16_t v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("dgram_log: truncated input");
-  return v;
-}
-std::uint32_t get_u32(std::istream& is) {
-  std::uint32_t v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("dgram_log: truncated input");
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  std::uint64_t v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("dgram_log: truncated input");
-  return v;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 RouterFingerprint router_fingerprint(const EcmpRouter& router) {
@@ -71,17 +34,17 @@ RouterFingerprint router_fingerprint(const EcmpRouter& router) {
   // Order-sensitive by design: records carry interned path-set ids, so a
   // replay-side router warmed in a different order is a different router
   // even when the set of pairs is identical.
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t h = wire::kFnvSeed;
   for (PathSetId ps = 0; ps < router.num_path_sets(); ++ps) {
     const PathSet& set = router.path_set(ps);
-    h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(set.src_sw)));
-    h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(set.dst_sw)));
-    h = fnv1a(h, set.paths.size());
+    h = wire::fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(set.src_sw)));
+    h = wire::fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(set.dst_sw)));
+    h = wire::fnv1a(h, set.paths.size());
     for (const PathId pid : set.paths) {
       const Path& path = router.path(pid);
-      h = fnv1a(h, path.comps.size());
+      h = wire::fnv1a(h, path.comps.size());
       for (const ComponentId c : path.comps) {
-        h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(c)));
+        h = wire::fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(c)));
       }
     }
   }
@@ -92,65 +55,52 @@ RouterFingerprint router_fingerprint(const EcmpRouter& router) {
 
 DgramLogWriter::DgramLogWriter(std::ostream& os, const RouterFingerprint& fingerprint)
     : os_(&os) {
-  os_->write(kMagic, sizeof kMagic);
-  put_u32(*os_, kVersion);
-  put_u32(*os_, fingerprint.path_sets);
-  put_u64(*os_, fingerprint.hash);
+  wire::put_header(*os_, kMagic, kVersion);
+  wire::put<std::uint32_t>(*os_, fingerprint.path_sets);
+  wire::put<std::uint64_t>(*os_, fingerprint.hash);
 }
 
 void DgramLogWriter::set_fingerprint(const RouterFingerprint& fingerprint) {
   const std::streamoff end = os_->tellp();
   if (end < 0) throw std::runtime_error("dgram_log: stream is not seekable");
   os_->seekp(kFingerprintOffset);
-  put_u32(*os_, fingerprint.path_sets);
-  put_u64(*os_, fingerprint.hash);
+  wire::put<std::uint32_t>(*os_, fingerprint.path_sets);
+  wire::put<std::uint64_t>(*os_, fingerprint.hash);
   os_->seekp(end);
   if (!*os_) throw std::runtime_error("dgram_log: fingerprint patch failed");
 }
 
 void DgramLogWriter::append(const LoggedDatagram& datagram) {
-  put_u64(*os_, datagram.timestamp_ns);
-  put_u32(*os_, datagram.source_addr);
-  put_u16(*os_, datagram.source_port);
-  put_u32(*os_, static_cast<std::uint32_t>(datagram.payload.size()));
+  wire::put<std::uint64_t>(*os_, datagram.timestamp_ns);
+  wire::put<std::uint32_t>(*os_, datagram.source_addr);
+  wire::put<std::uint16_t>(*os_, datagram.source_port);
+  wire::put<std::uint32_t>(*os_, datagram.payload.size());
   os_->write(reinterpret_cast<const char*>(datagram.payload.data()),
              static_cast<std::streamsize>(datagram.payload.size()));
   ++written_;
 }
 
 DgramLogReader::DgramLogReader(std::istream& is) : is_(&is) {
-  char magic[4];
-  is_->read(magic, sizeof magic);
-  if (!*is_ || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("dgram_log: bad magic (not a datagram log)");
-  }
-  version_ = get_u32(*is_);
-  if (version_ != 1 && version_ != kVersion) {
-    throw std::runtime_error("dgram_log: unsupported version " + std::to_string(version_));
-  }
+  wire::StreamReader in(*is_, kFormat);
+  version_ = wire::get_header(in, kMagic, kVersion);
   if (version_ >= 2) {
-    fingerprint_.path_sets = get_u32(*is_);
-    fingerprint_.hash = get_u64(*is_);
+    fingerprint_.path_sets = in.get<std::uint32_t>();
+    fingerprint_.hash = in.get<std::uint64_t>();
   }
 }
 
 bool DgramLogReader::next(LoggedDatagram& out) {
-  // The first field of a record doubles as the end-of-log probe: EOF here is
-  // a clean end, EOF anywhere later in the record is truncation.
-  std::uint64_t ts;
-  is_->read(reinterpret_cast<char*>(&ts), sizeof ts);
-  if (!*is_) {
-    if (is_->eof() && is_->gcount() == 0) return false;
-    throw std::runtime_error("dgram_log: truncated input");
-  }
-  out.timestamp_ns = ts;
-  out.source_addr = get_u32(*is_);
-  out.source_port = get_u16(*is_);
-  const std::uint32_t len = get_u32(*is_);
-  if (len > kMaxPayloadBytes) throw std::runtime_error("dgram_log: corrupt payload length");
+  // EOF before a record's first byte is a clean end; EOF anywhere later in
+  // the record is truncation.
+  if (is_->peek() == std::istream::traits_type::eof() && is_->eof()) return false;
+  wire::StreamReader in(*is_, kFormat);
+  out.timestamp_ns = in.get<std::uint64_t>();
+  out.source_addr = in.get<std::uint32_t>();
+  out.source_port = in.get<std::uint16_t>();
+  const auto len = in.get<std::uint32_t>();
+  if (len > kMaxPayloadBytes) in.fail("corrupt payload length");
   out.payload.resize(len);
-  is_->read(reinterpret_cast<char*>(out.payload.data()), static_cast<std::streamsize>(len));
-  if (!*is_) throw std::runtime_error("dgram_log: truncated input");
+  in.read(out.payload.data(), len);
   return true;
 }
 

@@ -9,7 +9,7 @@
 // repeatable artifact (the same discipline as eval/trace_io, one layer
 // earlier in the pipeline).
 //
-// Format (little-endian, versioned):
+// Format (little-endian, versioned; encoded by common/wire.h):
 //   magic "FLKD", u32 version (2)
 //   router fingerprint: u32 path_set_count, u64 signature hash — the routing
 //     state the capture ran against (all-zero = unrecorded; version-1 logs

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+
+#include "common/wire.h"
 
 namespace flock {
 
@@ -18,36 +19,13 @@ std::uint64_t low_bits(std::uint32_t n) {
   return n >= 64 ? ~0ull : (1ull << n) - 1;
 }
 
-// --- snapshot wire helpers (little-endian, like net/dgram_log) ---------------
-
-constexpr char kSnapshotMagic[4] = {'F', 'L', 'K', 'T'};
+// Snapshot format (layout: see "snapshot persistence" below).
+constexpr char kSnapshotFormat[] = "tracker snapshot";
+constexpr wire::Magic kSnapshotMagic = {'F', 'L', 'K', 'T'};
 constexpr std::uint32_t kSnapshotVersion = 1;
 // Sanity bounds: a flipped bit in a count field must be a loud error, not an
 // allocation request.
 constexpr std::uint32_t kMaxSnapshotRows = 1u << 24;
-
-template <typename T>
-void put(std::ostream& os, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-T get(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("tracker snapshot: truncated input");
-  return v;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -81,7 +59,7 @@ void TemporalTracker::set_equivalence_classes(
   class_of_.clear();
   class_members_.clear();
   class_hash_ = 0;
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t h = wire::kFnvSeed;
   for (const auto& cls : classes) {
     if (cls.size() < 2) continue;  // identity mapping; keying by own id is exact
     std::vector<ComponentId> members = cls;
@@ -89,9 +67,9 @@ void TemporalTracker::set_equivalence_classes(
     const ComponentId canon = members.front();
     for (const ComponentId c : members) {
       class_of_[c] = canon;
-      h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(c)));
+      h = wire::fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(c)));
     }
-    h = fnv1a(h, static_cast<std::uint64_t>(members.size()));
+    h = wire::fnv1a(h, static_cast<std::uint64_t>(members.size()));
     class_members_.emplace(canon, std::move(members));
   }
   if (!class_members_.empty()) class_hash_ = h;
@@ -349,7 +327,7 @@ std::vector<double> TemporalTracker::prior_logodds(std::size_t num_components) c
 
 // --- snapshot persistence ----------------------------------------------------
 //
-// Layout (all little-endian):
+// Layout (little-endian, encoded by common/wire.h):
 //   magic "FLKT", u32 version
 //   config echo: u64 window, i32 confirm, i32 clear, i32 flap_transitions,
 //     f64 prior_weight, f64 prior_saturation, f64 age_half_life_epochs
@@ -367,8 +345,8 @@ std::vector<double> TemporalTracker::prior_logodds(std::size_t num_components) c
 
 void TemporalTracker::save(std::ostream& os) const {
   MutexLock lock(mutex_);
-  os.write(kSnapshotMagic, sizeof kSnapshotMagic);
-  put<std::uint32_t>(os, kSnapshotVersion);
+  using wire::put;
+  wire::put_header(os, kSnapshotMagic, kSnapshotVersion);
   put<std::uint64_t>(os, config_.window);
   put<std::int32_t>(os, config_.confirm_epochs);
   put<std::int32_t>(os, config_.clear_epochs);
@@ -376,7 +354,7 @@ void TemporalTracker::save(std::ostream& os) const {
   put<double>(os, config_.prior_weight);
   put<double>(os, config_.prior_saturation);
   put<double>(os, config_.age_half_life_epochs);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(class_members_.size()));
+  put<std::uint32_t>(os, class_members_.size());
   put<std::uint64_t>(os, class_hash_);
   put<std::uint64_t>(os, next_epoch_);
   put<std::uint64_t>(os, stats_.epochs_observed);
@@ -386,7 +364,7 @@ void TemporalTracker::save(std::ostream& os) const {
   put<std::uint64_t>(os, stats_.flaps_detected);
   put<std::uint64_t>(os, stats_.clears);
   put<std::uint64_t>(os, stats_.false_clears);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(tracked_.size()));
+  put<std::uint32_t>(os, tracked_.size());
   for (const auto& [c, t] : tracked_) {
     put<std::int32_t>(os, c);
     put<std::uint64_t>(os, t.history);
@@ -403,10 +381,10 @@ void TemporalTracker::save(std::ostream& os) const {
     put<std::uint64_t>(os, t.clears);
     put<std::uint64_t>(os, t.false_clears);
   }
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(pending_.size()));
+  put<std::uint32_t>(os, pending_.size());
   for (const auto& [epoch, blamed] : pending_) {
     put<std::uint64_t>(os, epoch);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(blamed.size()));
+    put<std::uint32_t>(os, blamed.size());
     for (const ComponentId c : blamed) put<std::int32_t>(os, c);
   }
 }
@@ -416,87 +394,70 @@ void TemporalTracker::load(std::istream& is) {
   if (stats_.epochs_observed > 0 || !tracked_.empty() || next_epoch_ != 0) {
     throw std::logic_error("TemporalTracker::load: tracker has already observed epochs");
   }
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kSnapshotMagic, sizeof kSnapshotMagic) != 0) {
-    throw std::runtime_error("tracker snapshot: bad magic (not a tracker snapshot)");
-  }
-  const auto version = get<std::uint32_t>(is);
-  if (version != kSnapshotVersion) {
-    throw std::runtime_error("tracker snapshot: unsupported version " +
-                             std::to_string(version));
-  }
+  wire::StreamReader in(is, kSnapshotFormat);
+  wire::get_header(in, kSnapshotMagic, kSnapshotVersion);
   // Config compatibility: a snapshot taken under different state-machine or
   // carryover parameters would silently diverge from the uninterrupted run —
   // exactly the bug this restore path exists to rule out.
-  const auto mismatch = [](const std::string& what) {
-    throw std::runtime_error("tracker snapshot: config mismatch (" + what +
-                             " differs from the running tracker)");
+  const auto mismatch = [&in](const std::string& what) {
+    in.fail("config mismatch (" + what + " differs from the running tracker)");
   };
-  if (get<std::uint64_t>(is) != config_.window) mismatch("window");
-  if (get<std::int32_t>(is) != config_.confirm_epochs) mismatch("confirm_epochs");
-  if (get<std::int32_t>(is) != config_.clear_epochs) mismatch("clear_epochs");
-  if (get<std::int32_t>(is) != config_.flap_transitions) mismatch("flap_transitions");
-  if (get<double>(is) != config_.prior_weight) mismatch("prior_weight");
-  if (get<double>(is) != config_.prior_saturation) mismatch("prior_saturation");
-  if (get<double>(is) != config_.age_half_life_epochs) mismatch("age_half_life_epochs");
-  if (get<std::uint32_t>(is) != static_cast<std::uint32_t>(class_members_.size())) {
+  if (in.get<std::uint64_t>() != config_.window) mismatch("window");
+  if (in.get<std::int32_t>() != config_.confirm_epochs) mismatch("confirm_epochs");
+  if (in.get<std::int32_t>() != config_.clear_epochs) mismatch("clear_epochs");
+  if (in.get<std::int32_t>() != config_.flap_transitions) mismatch("flap_transitions");
+  if (in.get<double>() != config_.prior_weight) mismatch("prior_weight");
+  if (in.get<double>() != config_.prior_saturation) mismatch("prior_saturation");
+  if (in.get<double>() != config_.age_half_life_epochs) mismatch("age_half_life_epochs");
+  if (in.get<std::uint32_t>() != static_cast<std::uint32_t>(class_members_.size())) {
     mismatch("equivalence class count");
   }
-  if (get<std::uint64_t>(is) != class_hash_) mismatch("equivalence class partition");
+  if (in.get<std::uint64_t>() != class_hash_) mismatch("equivalence class partition");
 
-  const auto next_epoch = get<std::uint64_t>(is);
+  const auto next_epoch = in.get<std::uint64_t>();
   TemporalStats stats;
-  stats.epochs_observed = get<std::uint64_t>(is);
-  stats.out_of_order_epochs = get<std::uint64_t>(is);
-  stats.dropped_epochs = get<std::uint64_t>(is);
-  stats.confirmations = get<std::uint64_t>(is);
-  stats.flaps_detected = get<std::uint64_t>(is);
-  stats.clears = get<std::uint64_t>(is);
-  stats.false_clears = get<std::uint64_t>(is);
+  stats.epochs_observed = in.get<std::uint64_t>();
+  stats.out_of_order_epochs = in.get<std::uint64_t>();
+  stats.dropped_epochs = in.get<std::uint64_t>();
+  stats.confirmations = in.get<std::uint64_t>();
+  stats.flaps_detected = in.get<std::uint64_t>();
+  stats.clears = in.get<std::uint64_t>();
+  stats.false_clears = in.get<std::uint64_t>();
 
-  const auto num_tracked = get<std::uint32_t>(is);
-  if (num_tracked > kMaxSnapshotRows) {
-    throw std::runtime_error("tracker snapshot: corrupt tracked-row count");
-  }
+  const auto num_tracked = in.get<std::uint32_t>();
+  if (num_tracked > kMaxSnapshotRows) in.fail("corrupt tracked-row count");
   std::map<ComponentId, Tracked> tracked;
   for (std::uint32_t i = 0; i < num_tracked; ++i) {
-    const ComponentId c = get<std::int32_t>(is);
+    const ComponentId c = in.get<std::int32_t>();
     Tracked t;
-    t.history = get<std::uint64_t>(is);
-    t.epochs_seen = get<std::uint32_t>(is);
-    const auto state = get<std::uint8_t>(is);
+    t.history = in.get<std::uint64_t>();
+    t.epochs_seen = in.get<std::uint32_t>();
+    const auto state = in.get<std::uint8_t>();
     if (t.epochs_seen > 64 || state > static_cast<std::uint8_t>(ComponentHealth::kCleared)) {
-      throw std::runtime_error("tracker snapshot: corrupt tracked row");
+      in.fail("corrupt tracked row");
     }
     t.state = static_cast<ComponentHealth>(state);
-    t.blame_streak = get<std::int32_t>(is);
-    t.quiet_streak = get<std::int32_t>(is);
-    t.latency_recorded = get<std::uint8_t>(is) != 0;
-    t.first_blamed_epoch = get<std::uint64_t>(is);
-    t.last_blamed_epoch = get<std::uint64_t>(is);
-    t.confirmed_epoch = get<std::uint64_t>(is);
-    t.epochs_to_confirm = get<std::uint64_t>(is);
-    t.confirmations = get<std::uint64_t>(is);
-    t.clears = get<std::uint64_t>(is);
-    t.false_clears = get<std::uint64_t>(is);
-    if (!tracked.emplace(c, t).second) {
-      throw std::runtime_error("tracker snapshot: duplicate tracked component");
-    }
+    t.blame_streak = in.get<std::int32_t>();
+    t.quiet_streak = in.get<std::int32_t>();
+    t.latency_recorded = in.get<std::uint8_t>() != 0;
+    t.first_blamed_epoch = in.get<std::uint64_t>();
+    t.last_blamed_epoch = in.get<std::uint64_t>();
+    t.confirmed_epoch = in.get<std::uint64_t>();
+    t.epochs_to_confirm = in.get<std::uint64_t>();
+    t.confirmations = in.get<std::uint64_t>();
+    t.clears = in.get<std::uint64_t>();
+    t.false_clears = in.get<std::uint64_t>();
+    if (!tracked.emplace(c, t).second) in.fail("duplicate tracked component");
   }
-  const auto num_pending = get<std::uint32_t>(is);
-  if (num_pending > kMaxSnapshotRows) {
-    throw std::runtime_error("tracker snapshot: corrupt pending-epoch count");
-  }
+  const auto num_pending = in.get<std::uint32_t>();
+  if (num_pending > kMaxSnapshotRows) in.fail("corrupt pending-epoch count");
   std::map<std::uint64_t, std::vector<ComponentId>> pending;
   for (std::uint32_t i = 0; i < num_pending; ++i) {
-    const auto epoch = get<std::uint64_t>(is);
-    const auto count = get<std::uint32_t>(is);
-    if (count > kMaxSnapshotRows) {
-      throw std::runtime_error("tracker snapshot: corrupt pending blame count");
-    }
-    std::vector<ComponentId> blamed(count);
-    for (auto& c : blamed) c = get<std::int32_t>(is);
+    const auto epoch = in.get<std::uint64_t>();
+    const auto count = in.get<std::uint32_t>();
+    if (count > kMaxSnapshotRows) in.fail("corrupt pending blame count");
+    std::vector<ComponentId> blamed;  // grows as ids arrive, not by the count
+    for (std::uint32_t j = 0; j < count; ++j) blamed.push_back(in.get<std::int32_t>());
     pending.emplace(epoch, std::move(blamed));
   }
 

@@ -1,60 +1,14 @@
 #include "telemetry/ipfix.h"
 
-#include <cstring>
+#include <iterator>
+
+#include "common/wire.h"
 
 namespace flock {
 namespace {
 
-// --- big-endian primitives ---------------------------------------------------
-
-void put_u16(std::vector<std::uint8_t>& b, std::uint16_t v) {
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-  b.push_back(static_cast<std::uint8_t>(v));
-}
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  put_u16(b, static_cast<std::uint16_t>(v >> 16));
-  put_u16(b, static_cast<std::uint16_t>(v));
-}
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  put_u32(b, static_cast<std::uint32_t>(v >> 32));
-  put_u32(b, static_cast<std::uint32_t>(v));
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t remaining;
-
-  bool u16(std::uint16_t& v) {
-    if (remaining < 2) return false;
-    v = static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-    p += 2;
-    remaining -= 2;
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    std::uint16_t hi, lo;
-    if (!u16(hi) || !u16(lo)) return false;
-    v = (static_cast<std::uint32_t>(hi) << 16) | lo;
-    return true;
-  }
-  bool skip(std::size_t n) {
-    if (remaining < n) return false;
-    p += n;
-    remaining -= n;
-    return true;
-  }
-  // Bounds-checked arbitrary-width read: false leaves the cursor unmoved.
-  // Values wider than 8 bytes keep only the low 64 bits (RFC 7011 reduced-
-  // size encoding never needs more for our integer IEs).
-  bool read_uint(std::size_t len, std::uint64_t& v) {
-    if (remaining < len) return false;
-    v = 0;
-    for (std::size_t i = 0; i < len; ++i) v = (v << 8) | p[i];
-    p += len;
-    remaining -= len;
-    return true;
-  }
-};
+// IPFIX is big-endian on the wire.
+constexpr auto kBig = wire::Endian::kBig;
 
 // Field layout of the flow template (shared by encoder and the tests; the
 // decoder never assumes it).
@@ -78,29 +32,29 @@ constexpr WireField kFlowFields[] = {
 constexpr std::size_t kRecordBytes = 4 + 4 + 2 + 2 + 8 + 8 + 4 + 4 + 4;
 
 void append_template_set(std::vector<std::uint8_t>& msg) {
-  put_u16(msg, 2);  // set id 2 = template set
+  wire::put<std::uint16_t, kBig>(msg, 2);  // set id 2 = template set
   std::uint16_t set_len = 4 + 4;  // set header + template header
   for (const WireField& f : kFlowFields) set_len += f.enterprise ? 8 : 4;
-  put_u16(msg, set_len);
-  put_u16(msg, kFlowTemplateId);
-  put_u16(msg, static_cast<std::uint16_t>(std::size(kFlowFields)));
+  wire::put<std::uint16_t, kBig>(msg, set_len);
+  wire::put<std::uint16_t, kBig>(msg, kFlowTemplateId);
+  wire::put<std::uint16_t, kBig>(msg, std::size(kFlowFields));
   for (const WireField& f : kFlowFields) {
-    put_u16(msg, f.enterprise ? static_cast<std::uint16_t>(f.id | 0x8000u) : f.id);
-    put_u16(msg, f.length);
-    if (f.enterprise) put_u32(msg, f.enterprise);
+    wire::put<std::uint16_t, kBig>(msg, f.enterprise ? f.id | 0x8000u : f.id);
+    wire::put<std::uint16_t, kBig>(msg, f.length);
+    if (f.enterprise) wire::put<std::uint32_t, kBig>(msg, f.enterprise);
   }
 }
 
 void append_record(std::vector<std::uint8_t>& msg, const FlowRecord& r) {
-  put_u32(msg, r.src_addr);
-  put_u32(msg, r.dst_addr);
-  put_u16(msg, r.src_port);
-  put_u16(msg, r.dst_port);
-  put_u64(msg, r.packets);
-  put_u64(msg, r.retransmissions);
-  put_u32(msg, r.mean_rtt_us);
-  put_u32(msg, static_cast<std::uint32_t>(r.path_set));
-  put_u32(msg, static_cast<std::uint32_t>(r.taken_path));
+  wire::put<std::uint32_t, kBig>(msg, r.src_addr);
+  wire::put<std::uint32_t, kBig>(msg, r.dst_addr);
+  wire::put<std::uint16_t, kBig>(msg, r.src_port);
+  wire::put<std::uint16_t, kBig>(msg, r.dst_port);
+  wire::put<std::uint64_t, kBig>(msg, r.packets);
+  wire::put<std::uint64_t, kBig>(msg, r.retransmissions);
+  wire::put<std::uint32_t, kBig>(msg, r.mean_rtt_us);
+  wire::put<std::uint32_t, kBig>(msg, r.path_set);
+  wire::put<std::uint32_t, kBig>(msg, r.taken_path);
 }
 
 }  // namespace
@@ -117,35 +71,27 @@ const char* to_string(IpfixHeaderStatus status) {
 
 IpfixHeaderStatus peek_header(const std::uint8_t* data, std::size_t len, IpfixHeader* out) {
   if (data == nullptr || len < kIpfixHeaderBytes) return IpfixHeaderStatus::kShortHeader;
-  const std::uint16_t version = static_cast<std::uint16_t>((data[0] << 8) | data[1]);
-  if (version != kIpfixVersion) return IpfixHeaderStatus::kBadVersion;
-  const std::uint16_t length = static_cast<std::uint16_t>((data[2] << 8) | data[3]);
+  if (wire::load<std::uint16_t, kBig>(data) != kIpfixVersion) {
+    return IpfixHeaderStatus::kBadVersion;
+  }
+  const auto length = wire::load<std::uint16_t, kBig>(data + 2);
   // A UDP datagram carries exactly one message, so the header's own length
   // claim must match what came off the wire — anything else is truncation or
   // trailing garbage, and the body parsers must never trust it.
   if (length != len) return IpfixHeaderStatus::kLengthMismatch;
   if (out != nullptr) {
     out->length = length;
-    auto u32_at = [data](std::size_t i) {
-      return (static_cast<std::uint32_t>(data[i]) << 24) |
-             (static_cast<std::uint32_t>(data[i + 1]) << 16) |
-             (static_cast<std::uint32_t>(data[i + 2]) << 8) |
-             static_cast<std::uint32_t>(data[i + 3]);
-    };
-    out->export_time = u32_at(4);
-    out->sequence = u32_at(8);
-    out->observation_domain = u32_at(12);
+    out->export_time = wire::load<std::uint32_t, kBig>(data + 4);
+    out->sequence = wire::load<std::uint32_t, kBig>(data + 8);
+    out->observation_domain = wire::load<std::uint32_t, kBig>(data + 12);
   }
   return IpfixHeaderStatus::kOk;
 }
 
 std::optional<std::uint32_t> peek_export_time(const std::uint8_t* data, std::size_t len) {
   if (data == nullptr || len < kIpfixHeaderBytes) return std::nullopt;
-  const std::uint16_t version = static_cast<std::uint16_t>((data[0] << 8) | data[1]);
-  if (version != kIpfixVersion) return std::nullopt;
-  return (static_cast<std::uint32_t>(data[4]) << 24) |
-         (static_cast<std::uint32_t>(data[5]) << 16) |
-         (static_cast<std::uint32_t>(data[6]) << 8) | static_cast<std::uint32_t>(data[7]);
+  if (wire::load<std::uint16_t, kBig>(data) != kIpfixVersion) return std::nullopt;
+  return wire::load<std::uint32_t, kBig>(data + 4);
 }
 
 std::optional<std::uint32_t> peek_export_time(const std::vector<std::uint8_t>& message) {
@@ -155,27 +101,27 @@ std::optional<std::uint32_t> peek_export_time(const std::vector<std::uint8_t>& m
 std::optional<std::uint32_t> peek_record_count(const std::uint8_t* data, std::size_t len) {
   IpfixHeader header;
   if (peek_header(data, len, &header) != IpfixHeaderStatus::kOk) return std::nullopt;
-  Reader r{data + kIpfixHeaderBytes, len - kIpfixHeaderBytes};
+  wire::SpanReader<kBig> r{data + kIpfixHeaderBytes, len - kIpfixHeaderBytes};
 
   // Template id -> record length, for templates announced in this message.
   std::unordered_map<std::uint16_t, std::size_t> record_lengths;
   std::uint32_t records = 0;
   while (r.remaining > 0) {
     std::uint16_t set_id, set_len;
-    if (!r.u16(set_id) || !r.u16(set_len) || set_len < 4 ||
+    if (!r.get(set_id) || !r.get(set_len) || set_len < 4 ||
         static_cast<std::size_t>(set_len - 4) > r.remaining) {
       return std::nullopt;
     }
-    Reader set{r.p, static_cast<std::size_t>(set_len - 4)};
+    wire::SpanReader<kBig> set{r.p, static_cast<std::size_t>(set_len - 4)};
     if (!r.skip(set_len - 4)) return std::nullopt;
     if (set_id == 2) {
       while (set.remaining >= 4) {
         std::uint16_t tid, field_count;
-        if (!set.u16(tid) || !set.u16(field_count)) return std::nullopt;
+        if (!set.get(tid) || !set.get(field_count)) return std::nullopt;
         std::size_t record_length = 0;
         for (std::uint16_t f = 0; f < field_count; ++f) {
           std::uint16_t id, flen;
-          if (!set.u16(id) || !set.u16(flen)) return std::nullopt;
+          if (!set.get(id) || !set.get(flen)) return std::nullopt;
           if ((id & 0x8000u) && !set.skip(4)) return std::nullopt;
           record_length += flen;
         }
@@ -202,17 +148,17 @@ std::vector<std::vector<std::uint8_t>> IpfixEncoder::encode(
   do {
     std::vector<std::uint8_t> msg;
     // Message header (length patched at the end).
-    put_u16(msg, kIpfixVersion);
-    put_u16(msg, 0);
-    put_u32(msg, export_time);
-    put_u32(msg, sequence_);
-    put_u32(msg, options_.observation_domain);
+    wire::put<std::uint16_t, kBig>(msg, kIpfixVersion);
+    wire::put<std::uint16_t, kBig>(msg, 0);
+    wire::put<std::uint32_t, kBig>(msg, export_time);
+    wire::put<std::uint32_t, kBig>(msg, sequence_);
+    wire::put<std::uint32_t, kBig>(msg, options_.observation_domain);
     append_template_set(msg);
 
     // Data set header.
     const std::size_t set_start = msg.size();
-    put_u16(msg, kFlowTemplateId);
-    put_u16(msg, 0);  // patched below
+    wire::put<std::uint16_t, kBig>(msg, kFlowTemplateId);
+    wire::put<std::uint16_t, kBig>(msg, 0);  // patched below
     std::uint32_t in_this_message = 0;
     while (i < records.size() && msg.size() + kRecordBytes <= options_.max_message_bytes) {
       append_record(msg, records[i]);
@@ -221,12 +167,8 @@ std::vector<std::vector<std::uint8_t>> IpfixEncoder::encode(
     }
     sequence_ += in_this_message;
 
-    const auto set_len = static_cast<std::uint16_t>(msg.size() - set_start);
-    msg[set_start + 2] = static_cast<std::uint8_t>(set_len >> 8);
-    msg[set_start + 3] = static_cast<std::uint8_t>(set_len);
-    const auto msg_len = static_cast<std::uint16_t>(msg.size());
-    msg[2] = static_cast<std::uint8_t>(msg_len >> 8);
-    msg[3] = static_cast<std::uint8_t>(msg_len);
+    wire::store<std::uint16_t, kBig>(msg.size() - set_start, msg.data() + set_start + 2);
+    wire::store<std::uint16_t, kBig>(msg.size(), msg.data() + 2);
     messages.push_back(std::move(msg));
   } while (i < records.size());
   return messages;
@@ -246,15 +188,15 @@ bool IpfixDecoder::decode(const std::vector<std::uint8_t>& message,
     return fail();
   }
   const std::uint32_t domain = header.observation_domain;
-  Reader r{message.data() + kIpfixHeaderBytes, message.size() - kIpfixHeaderBytes};
+  wire::SpanReader<kBig> r{message.data() + kIpfixHeaderBytes, message.size() - kIpfixHeaderBytes};
 
   while (r.remaining > 0) {
     std::uint16_t set_id, set_len;
-    if (!r.u16(set_id) || !r.u16(set_len) || set_len < 4 ||
+    if (!r.get(set_id) || !r.get(set_len) || set_len < 4 ||
         static_cast<std::size_t>(set_len - 4) > r.remaining) {
       return fail();
     }
-    Reader set{r.p, static_cast<std::size_t>(set_len - 4)};
+    wire::SpanReader<kBig> set{r.p, static_cast<std::size_t>(set_len - 4)};
     if (!r.skip(set_len - 4)) return fail();
 
     if (set_id == 2) {
@@ -262,16 +204,16 @@ bool IpfixDecoder::decode(const std::vector<std::uint8_t>& message,
       ++stats_.template_sets;
       while (set.remaining >= 4) {
         std::uint16_t tid, field_count;
-        if (!set.u16(tid) || !set.u16(field_count)) return fail();
+        if (!set.get(tid) || !set.get(field_count)) return fail();
         Template tmpl;
         for (std::uint16_t f = 0; f < field_count; ++f) {
           std::uint16_t id, flen;
-          if (!set.u16(id) || !set.u16(flen)) return fail();
+          if (!set.get(id) || !set.get(flen)) return fail();
           FieldSpec spec;
           spec.length = flen;
           if (id & 0x8000u) {
             spec.id = static_cast<std::uint16_t>(id & 0x7FFFu);
-            if (!set.u32(spec.enterprise)) return fail();
+            if (!set.get(spec.enterprise)) return fail();
           } else {
             spec.id = id;
           }

@@ -54,8 +54,8 @@ Topology Topology::without_links(const std::vector<LinkId>& removed) const {
 std::string Topology::node_name(NodeId id) const {
   const Node& n = node(id);
   std::string name = to_string(n.kind);
-  if (n.pod >= 0) name += "_p" + std::to_string(n.pod);
-  name += "_" + std::to_string(n.index >= 0 ? n.index : id);
+  if (n.pod >= 0) name.append("_p").append(std::to_string(n.pod));
+  name.append("_").append(std::to_string(n.index >= 0 ? n.index : id));
   return name;
 }
 

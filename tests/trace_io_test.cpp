@@ -82,6 +82,46 @@ TEST(TraceIo, RejectsTruncation) {
   EXPECT_THROW(read_trace(truncated, fx.topo, fx.router), std::runtime_error);
 }
 
+TEST(TraceIo, RejectsUnknownFlowKind) {
+  Fixture fx;
+  fx.trace.flows[0].kind = static_cast<SimFlowKind>(77);
+  std::stringstream buffer;
+  write_trace(buffer, fx.trace, fx.topo, fx.router);
+  EXPECT_THROW(read_trace(buffer, fx.topo, fx.router), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsOutOfRangeComponentIds) {
+  // The inference engine and evaluate_accuracy index per-component tables by
+  // these ids.
+  Fixture link_fx;
+  link_fx.trace.flows[0].src_link = link_fx.topo.num_links() + 100000;
+  std::stringstream bad_link;
+  write_trace(bad_link, link_fx.trace, link_fx.topo, link_fx.router);
+  EXPECT_THROW(read_trace(bad_link, link_fx.topo, link_fx.router), std::runtime_error);
+
+  Fixture truth_fx;
+  truth_fx.trace.truth.failed[0] = truth_fx.topo.num_components();
+  std::stringstream bad_truth;
+  write_trace(bad_truth, truth_fx.trace, truth_fx.topo, truth_fx.router);
+  EXPECT_THROW(read_trace(bad_truth, truth_fx.topo, truth_fx.router), std::runtime_error);
+}
+
+TEST(TraceIo, CorruptFlowCountIsATruncationNotAnAllocation) {
+  // The u64 flow count sits right before the fixed-size flow records (44
+  // bytes each). A count no file could hold must end in the documented
+  // std::runtime_error, not in std::length_error or std::bad_alloc.
+  Fixture fx;
+  std::stringstream buffer;
+  write_trace(buffer, fx.trace, fx.topo, fx.router);
+  std::string bytes = buffer.str();
+  const std::size_t count_at = bytes.size() - fx.trace.flows.size() * 44 - 8;
+  for (const std::uint64_t count : {1ull << 32, 1ull << 60, ~0ull}) {
+    for (int i = 0; i < 8; ++i) bytes[count_at + i] = static_cast<char>(count >> (8 * i));
+    std::stringstream corrupt(bytes);
+    EXPECT_THROW(read_trace(corrupt, fx.topo, fx.router), std::runtime_error) << count;
+  }
+}
+
 TEST(TraceIo, RejectsTopologyMismatch) {
   Fixture fx;
   std::stringstream buffer;
